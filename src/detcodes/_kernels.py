@@ -1,108 +1,29 @@
-"""Batch kernels for GF(q) linear algebra.
+"""Batch kernels for GF(q) linear algebra, in numpy.
 
-Two interchangeable implementations of the hot inner loops:
-
-* a numba ``@njit`` path doing Gaussian elimination directly over GF(q)
-  via the field's lookup tables, and
-* a pure-numpy fallback that restricts scalars to the prime subfield
-  (rank via the regular-representation blowup to GF(p), products via
-  digitwise polynomial convolution).
-
-Set ``DETCODES_NO_NUMBA=1`` to force the numpy path.  The two routes are
-algorithmically independent, which the test suite exploits.
+One batched Gaussian elimination serves every field.  Only its row
+update depends on the field: prime fields reduce integer arithmetic mod
+p, so any p up to ``gf.MAX_Q`` works without tables; extension fields
+look sums and products up in ``Field.tables``, so they are limited to
+``gf.TABLE_MAX_Q``.  The update is written inline for each case rather
+than through field callables, which lets numpy reuse the batch-sized
+temporaries in place.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-USE_NUMBA = os.environ.get("DETCODES_NO_NUMBA", "").lower() not in ("1", "true", "yes")
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        USE_NUMBA = False
-
-if USE_NUMBA:
-
-    @njit(cache=True)
-    def _rank_batch_nb(mats, sub_t, mul_t, inv_t):
-        B, l, m = mats.shape
-        out = np.empty(B, np.int64)
-        w = np.empty((l, m), np.int32)
-        for b in range(B):
-            for i in range(l):
-                for j in range(m):
-                    w[i, j] = mats[b, i, j]
-            r = 0
-            for c in range(m):
-                piv = -1
-                for i in range(r, l):
-                    if w[i, c] != 0:
-                        piv = i
-                        break
-                if piv < 0:
-                    continue
-                if piv != r:
-                    for j in range(c, m):
-                        tmp = w[piv, j]
-                        w[piv, j] = w[r, j]
-                        w[r, j] = tmp
-                pinv = inv_t[w[r, c]]
-                for i in range(r + 1, l):
-                    f = mul_t[w[i, c], pinv]
-                    if f != 0:
-                        for j in range(c, m):
-                            w[i, j] = sub_t[w[i, j], mul_t[f, w[r, j]]]
-                r += 1
-                if r == l:
-                    break
-            out[b] = r
-        return out
-
-    @njit(cache=True)
-    def _matmul_nb(A, B, add_t, mul_t):
-        x, k = A.shape
-        y = B.shape[1]
-        C = np.zeros((x, y), np.int32)
-        for i in range(x):
-            for j in range(y):
-                acc = 0
-                for s in range(k):
-                    acc = add_t[acc, mul_t[A[i, s], B[s, j]]]
-                C[i, j] = acc
-        return C
-
-    @njit(cache=True)
-    def _matmul_batch_nb(A, B, add_t, mul_t):
-        S, k, y = B.shape
-        x = A.shape[0]
-        C = np.zeros((S, x, y), np.int32)
-        for b in range(S):
-            for i in range(x):
-                for j in range(y):
-                    acc = 0
-                    for s in range(k):
-                        acc = add_t[acc, mul_t[A[i, s], B[b, s, j]]]
-                    C[b, i, j] = acc
-        return C
+_RANK_CHUNK = 1 << 18
 
 
-def _inv_table_modp(p: int) -> np.ndarray:
-    inv = np.zeros(p, dtype=np.int64)
-    for x in range(1, p):
-        inv[x] = pow(x, p - 2, p)
-    return inv
-
-
-def _rank_batch_modp(w: np.ndarray, p: int) -> np.ndarray:
-    """Ranks of a batch of matrices over GF(p); w is consumed."""
+def _rank_chunk(field, w: np.ndarray) -> np.ndarray:
+    """Ranks of a (B, R, C) int64 stack over GF(q); w is consumed."""
+    p = field.p
+    t = field.tables if field.e > 1 else None
+    inv = t.inv if t is not None else np.array([0] + [pow(a, -1, p) for a in range(1, p)])
     B, R, C = w.shape
     r = np.zeros(B, dtype=np.int64)
     rows = np.arange(R)
-    inv = _inv_table_modp(p)
     for c in range(C):
         mask = (w[:, :, c] != 0) & (rows[None, :] >= r[:, None])
         has = mask.any(axis=1)
@@ -114,82 +35,47 @@ def _rank_batch_modp(w: np.ndarray, p: int) -> np.ndarray:
         pivrow = w[idx, piv].copy()
         w[idx, piv] = w[idx, rr]
         w[idx, rr] = pivrow
-        fac = (w[idx, :, c] * inv[pivrow[:, c]][:, None]) % p
-        fac[rows[None, :] <= rr[:, None]] = 0
-        w[idx] = (w[idx] - fac[:, :, None] * pivrow[:, None, :]) % p
+        col = w[idx, :, c]
+        col[rows[None, :] <= rr[:, None]] = 0
+        pinv = inv[pivrow[:, c]][:, None]
+        if t is None:
+            fac = (col * pinv) % p
+            w[idx] = (w[idx] - fac[:, :, None] * pivrow[:, None, :]) % p
+        else:
+            fac = t.mul[col, pinv]
+            w[idx] = t.sub[w[idx], t.mul[fac[:, :, None], pivrow[:, None, :]]]
         r[idx] += 1
     return r
 
 
-def _blowup(field, mats: np.ndarray) -> np.ndarray:
-    """Replace each GF(q) entry by its e x e regular representation."""
-    e = field.e
-    B, l, m = mats.shape
-    big = field.prime_rep.reg[mats]  # (B, l, m, e, e)
-    return big.transpose(0, 1, 3, 2, 4).reshape(B, l * e, m * e)
-
-
-def _rank_batch_np(field, mats: np.ndarray) -> np.ndarray:
-    if field.e == 1:
-        return _rank_batch_modp(mats.astype(np.int64), field.p)
-    rk = _rank_batch_modp(_blowup(field, mats), field.p)
-    assert not (rk % field.e).any()
-    return rk // field.e
-
-
-def _matmul_np(field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """GF(q) matrix product; B may carry leading batch dimensions."""
-    p = field.p
-    if field.e == 1:
-        return (A.astype(np.int64) @ B.astype(np.int64)) % p
-    rep = field.prime_rep
-    Ad = rep.digits[A]  # (x, k, e)
-    Bd = rep.digits[B]  # (..., k, y, e)
-    conv = np.einsum("xki,...kyj->...xyij", Ad, Bd) % p
-    e = field.e
-    flat = np.zeros(conv.shape[:-2] + (2 * e - 1,), dtype=np.int64)
-    for i in range(e):
-        for j in range(e):
-            flat[..., i + j] += conv[..., i, j]
-    digits = (flat % p) @ rep.red % p
-    return digits @ rep.pows
-
-
-_RANK_CHUNK = 1 << 18
-
-
 def rank_batch(field, mats: np.ndarray) -> np.ndarray:
     """Rank over GF(q) of every matrix in a (B, l, m) stack."""
-    mats = np.ascontiguousarray(mats, dtype=np.int32)
-    if mats.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64)
-    if USE_NUMBA:
-        t = field.tables
-        return _rank_batch_nb(mats, t.sub, t.mul, t.inv)
-    out = np.empty(mats.shape[0], dtype=np.int64)
-    for lo in range(0, mats.shape[0], _RANK_CHUNK):
-        chunk = mats[lo : lo + _RANK_CHUNK]
-        out[lo : lo + len(chunk)] = _rank_batch_np(field, chunk)
+    mats = np.asarray(mats)
+    out = np.empty(len(mats), dtype=np.int64)
+    for lo in range(0, len(mats), _RANK_CHUNK):
+        chunk = mats[lo : lo + _RANK_CHUNK].astype(np.int64)
+        out[lo : lo + len(chunk)] = _rank_chunk(field, chunk)
     return out
+
+
+def _matmul(field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """GF(q) product of A (x, k) and B (..., k, y)."""
+    A = np.asarray(A, dtype=np.int64)
+    B = np.asarray(B, dtype=np.int64)
+    if field.e == 1:
+        return (A @ B) % field.p
+    t = field.tables
+    out = np.zeros(B.shape[:-2] + (A.shape[0], B.shape[-1]), dtype=np.int64)
+    for s in range(A.shape[1]):
+        out = t.add[out, t.mul[A[:, s, None], B[..., s, None, :]]]
+    return out.astype(np.int64, copy=False)
 
 
 def gf_matmul(field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Product of A (x, k) and B (k, y) over GF(q)."""
-    A = np.ascontiguousarray(A, dtype=np.int32)
-    B = np.ascontiguousarray(B, dtype=np.int32)
-    if USE_NUMBA:
-        t = field.tables
-        return _matmul_nb(A, B, t.add, t.mul).astype(np.int64)
-    return _matmul_np(field, A, B)
+    return _matmul(field, A, B)
 
 
 def gf_matmul_batch(field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Product of A (x, k) with a stack B (S, k, y) over GF(q)."""
-    A = np.ascontiguousarray(A, dtype=np.int32)
-    B = np.ascontiguousarray(B, dtype=np.int32)
-    if B.shape[0] == 0:
-        return np.zeros((0, A.shape[0], B.shape[2]), dtype=np.int64)
-    if USE_NUMBA:
-        t = field.tables
-        return _matmul_batch_nb(A, B, t.add, t.mul).astype(np.int64)
-    return _matmul_np(field, A, B)
+    return _matmul(field, A, B)

@@ -8,8 +8,8 @@ irreducible whose coefficient tuple, read as a base-p integer, is
 minimal, so all outputs are reproducible.
 
 Scalar operations always go through polynomial arithmetic; the lookup
-tables used by the batch kernels are built separately and validated
-against the scalar path in the test suite.
+tables used by the batch kernels on extension fields are built
+separately and validated against the scalar path in the test suite.
 """
 
 from __future__ import annotations
@@ -239,8 +239,7 @@ class Field:
             for x in range(1, q):
                 inv[x] = pow(x, p - 2, p)
         else:
-            D = np.array([self.digits(a) for a in range(q)], dtype=np.int64)
-            pows = p ** np.arange(e, dtype=np.int64)
+            D, pows = self.prime_rep.digits, self.prime_rep.pows
             add = ((D[:, None, :] + D[None, :, :]) % p) @ pows
             neg = ((-D) % p) @ pows
             # multiplicative group via log/antilog over a generator
@@ -278,32 +277,14 @@ class Field:
 
     @cached_property
     def prime_rep(self) -> SimpleNamespace:
-        """Data for the pure-numpy kernel path over the prime subfield.
+        """Elements as vectors over the prime subfield.
 
-        ``reg[a]`` is the e x e matrix over GF(p) of multiplication by the
-        element a in the basis 1, X, ..., X^(e-1); ``digits`` maps indices
-        to coefficient vectors; ``red`` reduces convolution coefficients
-        X^0..X^(2e-2) back to that basis.
+        ``digits[a]`` is the coefficient vector of the element a in the
+        basis 1, X, ..., X^(e-1), and ``digits @ pows`` maps such vectors
+        back to indices.
         """
-        q, p, e = self.q, self.p, self.e
-        D = np.array([self.digits(a) for a in range(q)], dtype=np.int64)
-        if e == 1:
-            reg = np.arange(q, dtype=np.int64).reshape(q, 1, 1)
-            red = np.ones((1, 1), dtype=np.int64)
-        else:
-            x_idx = p  # the element X has digits (0, 1, 0, ...)
-            reg = np.empty((q, e, e), dtype=np.int64)
-            for a in range(q):
-                col = a
-                for j in range(e):
-                    reg[a, :, j] = self.digits(col)
-                    col = self.mul(col, x_idx)
-            red = np.zeros((2 * e - 1, e), dtype=np.int64)
-            for d in range(2 * e - 1):
-                xd = _pmod([0] * d + [1], list(self.modulus), p)
-                red[d, : len(xd)] = xd
-        pows = p ** np.arange(e, dtype=np.int64)
-        return SimpleNamespace(digits=D, reg=reg, red=red, pows=pows)
+        D = np.array([self.digits(a) for a in range(self.q)], dtype=np.int64)
+        return SimpleNamespace(digits=D, pows=self.p ** np.arange(self.e, dtype=np.int64))
 
     def __str__(self) -> str:
         return f"GF({self.q})" if self.e == 1 else f"GF({self.p}^{self.e})"
@@ -338,6 +319,8 @@ def parse_q(text: str) -> Field:
         ps, es = text.split("^", 1)
         return make_field(int(ps), int(es))
     q = int(text)
+    if q > MAX_Q:
+        raise FieldTooLarge(f"q={q} exceeds the enumeration budget (max {MAX_Q})")
     for p in range(2, q + 1):
         if _is_prime(p) and q % p == 0:
             e = 0

@@ -124,10 +124,6 @@ def outer(field, u, v) -> np.ndarray:
     return t.mul[u[:, None], v[None, :]].astype(np.int64)
 
 
-def matvec(field, M, v) -> np.ndarray:
-    return gf_matmul(field, as_matrix(M, field.q), np.asarray(v).reshape(-1, 1))[:, 0]
-
-
 def partial_trace(field, M, r: int) -> int:
     M = as_matrix(M, field.q)
     if not 1 <= r <= M.shape[0]:

@@ -117,6 +117,7 @@ def max_rank1_exhaustive(field, l: int, m: int, r: int) -> tuple[int, np.ndarray
     matrix space, with the first (canonical-order) maximizing witness.
     """
     q = field.q
+    bound = rank1_bound(r, l, m, q)
     coeffs = matq.coeff_vectors(field, r)
     best = -1
     witness = None
@@ -128,7 +129,6 @@ def max_rank1_exhaustive(field, l: int, m: int, r: int) -> tuple[int, np.ndarray
         if counts[i] > best:
             best = int(counts[i])
             witness = batch[i].copy()
-    bound = rank1_bound(r, l, m, q)
     assert best <= bound.max_rank1, "extremal count exceeds the proven bound"
     if not bound.from_coset_argument:
         assert best == q**r - 1, "for r <= m the constant-rank-1 maximum is exact"

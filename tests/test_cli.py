@@ -2,9 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from detcodes import cli, detcode, gf
+from detcodes import cli, detcode, formulas, gf
 
 
 def run(args, capsys):
@@ -189,6 +190,17 @@ def test_genmat_stdout(capsys):
     assert out.splitlines()[0] == "2 2 2 2 projective 15 4"
 
 
+def test_genmat_large_fields(capsys):
+    # Prime fields reduce mod p at any size; extension fields need tables,
+    # which stop at gf.TABLE_MAX_Q = 1024, so q = 2^11 is a budget error.
+    code, out, _ = run(["genmat", "--q", "1031", "--l", "1", "--m", "1", "--t", "1"], capsys)
+    assert code == 0
+    assert out.splitlines() == ["1031 1 1 1 projective 1 1", "1"]
+    code, _, err = run(["genmat", "--q", "2^11", "--l", "1", "--m", "1", "--t", "1"], capsys)
+    assert code == 3
+    assert "budget" in err.lower()
+
+
 # ---------------------------------------------------------------------------
 # rank1max
 # ---------------------------------------------------------------------------
@@ -220,6 +232,19 @@ def test_verify_battery_passes(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "OK:" in out
+
+
+def test_verify_witness_check_fails_on_a_worse_subcode(capsys, monkeypatch):
+    # q=2 3x3 r=5 has bounds [38, 40], and the witness must attain 40; this
+    # subcode has support weight 42, inside no bound.
+    worse = np.eye(9, dtype=np.int64)[[0, 1, 2, 4, 8]]
+    real = formulas.witness_subcode
+    monkeypatch.setattr(
+        formulas, "witness_subcode", lambda l, m, r, q: worse if r == 5 else real(l, m, r, q)
+    )
+    code, out, _ = run(["verify", "--q", "2", "--l", "3", "--m", "3", "--t", "1"], capsys)
+    assert code == 1
+    assert "FAIL  witness subcodes attain the known values" in out
 
 
 def test_verify_battery_extension_field(capsys):

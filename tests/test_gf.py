@@ -1,6 +1,6 @@
 import pytest
 
-from detcodes import make_field
+from detcodes import gf, make_field
 from detcodes.errors import DegreeZero, DivisionByZero, FieldMismatch, FieldTooLarge, NotPrime
 from detcodes.gf import _is_irreducible, parse_q
 
@@ -101,6 +101,15 @@ def test_parse_q():
     assert parse_q("9").q == 9 and parse_q("9").p == 3
     with pytest.raises(NotPrime):
         parse_q("6")
+
+
+def test_parse_q_checks_size_before_factoring(monkeypatch):
+    calls = []
+    real = gf._is_prime
+    monkeypatch.setattr(gf, "_is_prime", lambda n: calls.append(n) or real(n))
+    with pytest.raises(FieldTooLarge):
+        parse_q("1000003")
+    assert calls == []
 
 
 def test_element_rendering_roundtrip(f4):

@@ -8,7 +8,7 @@ import pytest
 
 from detcodes import gf, matq, rank1
 from detcodes.counting import rank1_bound
-from detcodes.errors import EquationViolated, NotRankOne
+from detcodes.errors import BadParameters, EquationViolated, NotRankOne
 
 
 # ---------------------------------------------------------------------------
@@ -209,3 +209,12 @@ def test_max_rank1_witness_is_extremal_span(f2):
     ranks = rank_batch(f2, elems.reshape(-1, 2, 2))
     assert int((ranks == 2).sum()) == 2
     assert int((ranks == 2).sum()) >= rank1_bound(3, 2, 2, 2).rank2_floor
+
+
+def test_max_rank1_rejects_bad_shape_before_searching(f2, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched before validating the parameters")
+
+    monkeypatch.setattr(matq, "subspace_batches", no_search)
+    with pytest.raises(BadParameters):
+        rank1.max_rank1_exhaustive(f2, 1, 2, 1)

@@ -1,12 +1,14 @@
 """Batch kernels for GF(q) linear algebra, in numpy.
 
-One batched Gaussian elimination serves every field.  Only its row
-update depends on the field: prime fields reduce integer arithmetic mod
-p, so any p up to ``gf.MAX_Q`` works without tables; extension fields
-look sums and products up in ``Field.tables``, so they are limited to
-``gf.TABLE_MAX_Q``.  The update is written inline for each case rather
-than through field callables, which lets numpy reuse the batch-sized
-temporaries in place.
+One batched in-place reduction to reduced row echelon form serves every
+field and every caller: ``rank_batch`` keeps only its ranks, while
+``matq.rref`` and ``matq.normal_form`` read the reduced matrices.  Only
+its row arithmetic depends on the field: prime fields reduce integer
+arithmetic mod p, so any p up to ``gf.MAX_Q`` works without tables;
+extension fields look sums and products up in ``Field.tables``, so they
+are limited to ``gf.TABLE_MAX_Q``.  The arithmetic is written inline for
+each case rather than through field callables, which lets numpy reuse
+the batch-sized temporaries in place.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ import numpy as np
 _RANK_CHUNK = 1 << 18
 
 
-def _rank_chunk(field, w: np.ndarray) -> np.ndarray:
-    """Ranks of a (B, R, C) int64 stack over GF(q); w is consumed."""
+def row_reduce(field, w: np.ndarray) -> np.ndarray:
+    """Bring each matrix of a (B, R, C) int64 stack to reduced row echelon
+    form in place, zero rows last, and return the ranks."""
     p = field.p
     t = field.tables if field.e > 1 else None
     inv = t.inv if t is not None else np.array([0] + [pow(a, -1, p) for a in range(1, p)])
@@ -32,18 +35,17 @@ def _rank_chunk(field, w: np.ndarray) -> np.ndarray:
         idx = np.flatnonzero(has)
         piv = mask[idx].argmax(axis=1)
         rr = r[idx]
-        pivrow = w[idx, piv].copy()
+        pivrow = w[idx, piv]
         w[idx, piv] = w[idx, rr]
+        pinv = inv[pivrow[:, c]][:, None]
+        pivrow = (pivrow * pinv) % p if t is None else t.mul[pivrow, pinv]
         w[idx, rr] = pivrow
         col = w[idx, :, c]
-        col[rows[None, :] <= rr[:, None]] = 0
-        pinv = inv[pivrow[:, c]][:, None]
+        col[rows[None, :] == rr[:, None]] = 0
         if t is None:
-            fac = (col * pinv) % p
-            w[idx] = (w[idx] - fac[:, :, None] * pivrow[:, None, :]) % p
+            w[idx] = (w[idx] - col[:, :, None] * pivrow[:, None, :]) % p
         else:
-            fac = t.mul[col, pinv]
-            w[idx] = t.sub[w[idx], t.mul[fac[:, :, None], pivrow[:, None, :]]]
+            w[idx] = t.sub[w[idx], t.mul[col[:, :, None], pivrow[:, None, :]]]
         r[idx] += 1
     return r
 
@@ -54,7 +56,7 @@ def rank_batch(field, mats: np.ndarray) -> np.ndarray:
     out = np.empty(len(mats), dtype=np.int64)
     for lo in range(0, len(mats), _RANK_CHUNK):
         chunk = mats[lo : lo + _RANK_CHUNK].astype(np.int64)
-        out[lo : lo + len(chunk)] = _rank_chunk(field, chunk)
+        out[lo : lo + len(chunk)] = row_reduce(field, chunk)
     return out
 
 

@@ -15,11 +15,12 @@ from functools import lru_cache
 import numpy as np
 
 from . import matq
-from ._kernels import gf_matmul, gf_matmul_batch, rank_batch
+from ._kernels import gf_matmul
 from .counting import _exact_div
 from .errors import BadParameters, BudgetExceeded, ShapeMismatch
 
 NAIVE_COST_BUDGET = 200_000_000  # forms x domain points for the naive path
+NAIVE_CHUNK_BYTES = 16 << 20  # int64 codewords per product in the naive path
 
 
 # eq=False: domains are cached and compared by identity (ndarray field)
@@ -113,7 +114,7 @@ def brute_weight_enumerator(field, l, m, t, mode) -> SpectrumReport:
     return _spectrum_from(mode, counts)
 
 
-def naive_weight_enumerator(field, l, m, t, mode, chunk: int = 4096) -> SpectrumReport:
+def naive_weight_enumerator(field, l, m, t, mode) -> SpectrumReport:
     """Fully naive oracle: evaluate every form over the whole domain."""
     dom = make_domain(field, l, m, t, mode)
     nforms = field.q ** (l * m)
@@ -121,6 +122,7 @@ def naive_weight_enumerator(field, l, m, t, mode, chunk: int = 4096) -> Spectrum
         raise BudgetExceeded("naive enumeration cost exceeds the budget")
     forms = matq.all_matrices(field, l, m).reshape(nforms, l * m)
     gen = generator_matrix(dom)
+    chunk = max(1, NAIVE_CHUNK_BYTES // (8 * len(dom)))
     counts: Counter[int] = Counter()
     for lo in range(0, nforms, chunk):
         words = gf_matmul(field, forms[lo : lo + chunk], gen)
@@ -145,8 +147,7 @@ def support_weight(dom: EvaluationDomain, basis, method: str = "both") -> int:
     q = dom.field.q
     results = {}
     if method in ("average", "both"):
-        elems = matq.span_vectors(dom.field, basis)
-        ranks = rank_batch(dom.field, elems.reshape(len(elems), dom.l, dom.m))
+        ranks = matq.span_ranks(dom.field, basis[None], dom.l, dom.m)[0]
         wt = weight_table(dom)
         total = sum(wt[int(rk)] for rk in ranks)
         results["average"] = _exact_div(total, q**r - q ** (r - 1))
@@ -163,13 +164,10 @@ def support_weight(dom: EvaluationDomain, basis, method: str = "both") -> int:
 
 def _subspace_supports(dom: EvaluationDomain, batch: np.ndarray) -> np.ndarray:
     """Support weights of a stack of subcode bases, via rank grouping."""
-    S, r, nm = batch.shape
+    r = batch.shape[1]
     q = dom.field.q
-    coeffs = matq.coeff_vectors(dom.field, r)
-    elems = gf_matmul_batch(dom.field, coeffs, batch)  # (S, q^r, nm)
-    ranks = rank_batch(dom.field, elems.reshape(S * q**r, dom.l, dom.m))
     wt = np.array(weight_table(dom), dtype=np.int64)
-    sums = wt[ranks].reshape(S, q**r).sum(axis=1)
+    sums = wt[matq.span_ranks(dom.field, batch, dom.l, dom.m)].sum(axis=1)
     denom = q**r - q ** (r - 1)
     rem = sums % denom
     if rem.any():

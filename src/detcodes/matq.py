@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from . import counting
-from ._kernels import gf_matmul, rank_batch
+from ._kernels import gf_matmul, gf_matmul_batch, rank_batch, row_reduce
 from .errors import (
     BadParameters,
     BudgetExceeded,
@@ -27,6 +27,7 @@ from .errors import (
 MATRIX_SPACE_BUDGET = 50_000_000  # q^(l*m) matrices generated
 DOMAIN_BUDGET = 10_000_000  # points kept in an evaluation domain
 SUBSPACE_BUDGET = 10_000_000  # subspaces visited
+_SUBSPACE_BATCH = 4096  # bases per stack yielded by subspace_batches
 
 
 def as_matrix(M, q: int | None = None) -> np.ndarray:
@@ -48,73 +49,27 @@ def rref(field, A):
 
     Returns (R, pivots) where R has its zero rows dropped.
     """
-    A = [[int(x) for x in row] for row in as_matrix(A, field.q)]
-    nrows, ncols = len(A), len(A[0]) if A else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if A[i][c] != 0), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        inv = field.inv(A[r][c])
-        A[r] = [field.mul(inv, x) for x in A[r]]
-        for i in range(nrows):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(A[i], A[r])]
-        pivots.append(c)
-        r += 1
-    R = np.array(A[:r], dtype=np.int64).reshape(r, ncols)
-    return R, pivots
+    w = as_matrix(A, field.q)[None].copy()
+    R = w[0, : int(row_reduce(field, w)[0])]
+    return R, [int(np.flatnonzero(row)[0]) for row in R]
+
+
+def _reduce_with_transform(field, M: np.ndarray):
+    """(T, E): the RREF E of M and an invertible T with T @ M = E, read
+    off the row reduction of [M | I]."""
+    l, m = M.shape
+    w = np.concatenate([M, np.eye(l, dtype=np.int64)], axis=1)[None]
+    row_reduce(field, w)
+    return w[0, :, m:], w[0, :, :m]
 
 
 def normal_form(field, M):
     """Invertible P, Q with P @ M @ Q equal to the rank-r block identity."""
-    M = as_matrix(M, field.q)
-    l, m = M.shape
-    A = [[int(x) for x in row] for row in M]
-    P = [[1 if i == j else 0 for j in range(l)] for i in range(l)]
-    Q = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    r = 0
-    pivots = []
-    for c in range(m):
-        piv = next((i for i in range(r, l) if A[i][c] != 0), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        P[r], P[piv] = P[piv], P[r]
-        inv = field.inv(A[r][c])
-        A[r] = [field.mul(inv, x) for x in A[r]]
-        P[r] = [field.mul(inv, x) for x in P[r]]
-        for i in range(l):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(A[i], A[r])]
-                P[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(P[i], P[r])]
-        pivots.append(c)
-        r += 1
-    # column operations: move pivot columns to the front ...
-    for i, c in enumerate(pivots):
-        if c != i:
-            for row in A:
-                row[i], row[c] = row[c], row[i]
-            for row in Q:
-                row[i], row[c] = row[c], row[i]
-    # ... and clear entries to the right of the identity block
-    for j in range(r, m):
-        for i in range(r):
-            f = A[i][j]
-            if f:
-                for row in A:
-                    row[j] = field.sub(row[j], field.mul(f, row[i]))
-                for qrow in Q:
-                    qrow[j] = field.sub(qrow[j], field.mul(f, qrow[i]))
-    return (
-        np.array(P, dtype=np.int64),
-        np.array(Q, dtype=np.int64),
-        r,
-    )
+    P, E = _reduce_with_transform(field, as_matrix(M, field.q))
+    # E's nonzero rows are independent and come first, so RREF(E.T) is
+    # the transposed block identity and Qt @ E.T = that block.
+    Qt, _ = _reduce_with_transform(field, E.T)
+    return P, Qt.T, int(np.count_nonzero(E.any(axis=1)))
 
 
 def outer(field, u, v) -> np.ndarray:
@@ -134,15 +89,20 @@ def partial_trace(field, M, r: int) -> int:
     return acc
 
 
+def _base_q_digits(a: np.ndarray, q: int, width: int) -> np.ndarray:
+    """(len(a), width) base-q digits of a, most significant first."""
+    d = a[:, None] // q ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    d %= q  # in place: the digits of a whole matrix space are large
+    return d
+
+
 def all_matrices(field, l: int, m: int) -> np.ndarray:
     """All q^(l*m) matrices, lexicographic in their row-major entry tuples."""
     q = field.q
     total = q ** (l * m)
     if total > MATRIX_SPACE_BUDGET:
         raise BudgetExceeded(f"q^(l*m) = {total} exceeds the enumeration budget")
-    a = np.arange(total, dtype=np.int64)
-    cols = [(a // q ** (l * m - 1 - pos)) % q for pos in range(l * m)]
-    return np.stack(cols, axis=1).reshape(total, l, m)
+    return _base_q_digits(np.arange(total, dtype=np.int64), q, l * m).reshape(total, l, m)
 
 
 @lru_cache(maxsize=32)
@@ -197,7 +157,7 @@ def _profile_free_slots(N: int, profile) -> list[tuple[int, int]]:
     return slots
 
 
-def subspace_batches(field, N: int, r: int, max_batch: int = 4096):
+def subspace_batches(field, N: int, r: int):
     """Yield (S, r, N) stacks of RREF bases, one pivot profile at a time.
 
     Deterministic order: profiles lexicographic, free entries filled by
@@ -209,21 +169,16 @@ def subspace_batches(field, N: int, r: int, max_batch: int = 4096):
     total = counting.gaussian_binomial(N, r, q)
     if total > SUBSPACE_BUDGET:
         raise BudgetExceeded(f"{total} subspaces exceed the budget {SUBSPACE_BUDGET}")
-    if r == 0:
-        yield np.zeros((1, 0, N), dtype=np.int64)
-        return
     for profile in _pivot_profiles(N, r):
         slots = _profile_free_slots(N, profile)
+        si, sj = np.array(slots, dtype=np.int64).reshape(-1, 2).T
         nfill = q ** len(slots)
         base = np.zeros((r, N), dtype=np.int64)
-        for i, c in enumerate(profile):
-            base[i, c] = 1
-        for lo in range(0, nfill, max_batch):
-            hi = min(lo + max_batch, nfill)
-            a = np.arange(lo, hi, dtype=np.int64)
+        base[np.arange(r), list(profile)] = 1
+        for lo in range(0, nfill, _SUBSPACE_BATCH):
+            hi = min(lo + _SUBSPACE_BATCH, nfill)
             batch = np.broadcast_to(base, (hi - lo, r, N)).copy()
-            for pos, (i, j) in enumerate(slots):
-                batch[:, i, j] = (a // q ** (len(slots) - 1 - pos)) % q
+            batch[:, si, sj] = _base_q_digits(np.arange(lo, hi, dtype=np.int64), q, len(slots))
             yield batch
 
 
@@ -233,24 +188,23 @@ def enumerate_subspaces(field, N: int, r: int):
         yield from batch
 
 
-def span_vectors(field, basis: np.ndarray) -> np.ndarray:
-    """All q^r vectors of the row space of an (r, N) basis."""
-    r = basis.shape[0]
-    q = field.q
-    a = np.arange(q**r, dtype=np.int64)
-    coeffs = np.stack([(a // q ** (r - 1 - i)) % q for i in range(r)], axis=1)
-    if r == 0:
-        return np.zeros((1, basis.shape[1]), dtype=np.int64)
-    return gf_matmul(field, coeffs, basis)
-
-
 def coeff_vectors(field, r: int) -> np.ndarray:
     """All q^r coefficient vectors of length r, lexicographic."""
-    q = field.q
-    a = np.arange(q**r, dtype=np.int64)
-    if r == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    return np.stack([(a // q ** (r - 1 - i)) % q for i in range(r)], axis=1)
+    return _base_q_digits(np.arange(field.q**r, dtype=np.int64), field.q, r)
+
+
+def span_vectors(field, basis: np.ndarray) -> np.ndarray:
+    """All q^r vectors of the row space of an (r, N) basis, in
+    ``coeff_vectors`` order."""
+    return gf_matmul(field, coeff_vectors(field, basis.shape[0]), basis)
+
+
+def span_ranks(field, bases: np.ndarray, l: int, m: int) -> np.ndarray:
+    """(S, q^r) ranks, as l x m matrices, of the elements spanned by each
+    basis of an (S, r, l*m) stack, in ``coeff_vectors`` order."""
+    S, r, _ = bases.shape
+    elems = gf_matmul_batch(field, coeff_vectors(field, r), bases)
+    return rank_batch(field, elems.reshape(-1, l, m)).reshape(S, field.q**r)
 
 
 def format_matrix(M) -> str:

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matq
-from ._kernels import gf_matmul_batch, rank_batch
 from .counting import rank1_bound
 from .errors import BudgetExceeded, EquationViolated, NotRankOne
 
@@ -76,9 +75,7 @@ def count_rank1(field, basis, l: int, m: int) -> int:
     basis = matq.as_matrix(basis, field.q)
     if field.q ** basis.shape[0] > ELEMENT_BUDGET:
         raise BudgetExceeded(f"q^{basis.shape[0]} elements exceed the budget")
-    elems = matq.span_vectors(field, basis)
-    ranks = rank_batch(field, elems.reshape(len(elems), l, m))
-    return int(np.count_nonzero(ranks == 1))
+    return int(np.count_nonzero(matq.span_ranks(field, basis[None], l, m) == 1))
 
 
 def classify_space(field, basis, l: int, m: int) -> Rank1SpaceClass:
@@ -118,13 +115,10 @@ def max_rank1_exhaustive(field, l: int, m: int, r: int) -> tuple[int, np.ndarray
     """
     q = field.q
     bound = rank1_bound(r, l, m, q)
-    coeffs = matq.coeff_vectors(field, r)
     best = -1
     witness = None
     for batch in matq.subspace_batches(field, l * m, r):
-        elems = gf_matmul_batch(field, coeffs, batch)
-        ranks = rank_batch(field, elems.reshape(-1, l, m)).reshape(len(batch), q**r)
-        counts = (ranks == 1).sum(axis=1)
+        counts = (matq.span_ranks(field, batch, l, m) == 1).sum(axis=1)
         i = int(counts.argmax())
         if counts[i] > best:
             best = int(counts[i])

@@ -247,6 +247,35 @@ def test_verify_witness_check_fails_on_a_worse_subcode(capsys, monkeypatch):
     assert "FAIL  witness subcodes attain the known values" in out
 
 
+def test_verify_reports_skipped_checks_and_never_counts_them(capsys):
+    argv = ["verify", "--q", "2", "--l", "3", "--m", "3", "--t", "1"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    lines = out.splitlines()
+    skips = [line for line in lines if line.startswith("SKIP  ")]
+    ghw = "higher weights: closed/bounds vs brute, affine transfer"
+    cap = f"(brute-force cost over the cap of {cli.BRUTE_GHW_COST_CAP})"
+    assert skips == [f"SKIP  {ghw} (r={r})  {cap}" for r in range(3, 8)] + [
+        f"SKIP  rank-1 extremal count within bound (r={r})  {cap}" for r in range(4, 8)
+    ]
+    assert sum(line.startswith("PASS  ") for line in lines) == 14
+    assert lines[-1] == "OK: 14/14 checks passed, 9 skipped"
+    code, out, _ = run(argv + ["--format", "json"], capsys)
+    payload = json.loads(out)
+    assert len(payload["checks"]) == 14 and len(payload["skipped"]) == 9
+    assert {c["name"] for c in payload["checks"]}.isdisjoint(s["name"] for s in payload["skipped"])
+
+
+def test_verify_skips_the_naive_oracle_over_its_budget(capsys, monkeypatch):
+    monkeypatch.setattr(detcode, "NAIVE_COST_BUDGET", 0)
+    code, out, _ = run(["verify", "--q", "2", "--l", "2", "--m", "2", "--t", "1"], capsys)
+    assert code == 0
+    for mode in ("projective", "affine"):
+        assert f"SKIP  rank-grouped vs naive enumerator ({mode})  (" in out
+        assert f"PASS  rank-grouped vs naive enumerator ({mode})" not in out
+    assert out.splitlines()[-1].endswith(" 2 skipped")
+
+
 def test_verify_battery_extension_field(capsys):
     code, out, _ = run(
         ["verify", "--q", "4", "--l", "2", "--m", "2", "--t", "2"], capsys
@@ -300,13 +329,20 @@ def test_out_file_writing(tmp_path, capsys):
 
 
 def test_console_entry_point():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import detcodes
+
+    # the child must import the package under test, installed or not
+    src = str(Path(detcodes.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-m", "detcodes", "count",
          "--q", "2", "--l", "2", "--m", "3", "--t", "1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert out.returncode == 0
     assert "n_hat = 21" in out.stdout

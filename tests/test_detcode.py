@@ -96,6 +96,21 @@ def test_rank_grouped_equals_naive_enumerator(q, l, m):
             assert grouped.as_dict()[0] == 1
 
 
+def test_naive_enumerator_over_several_ragged_chunks(f3, monkeypatch):
+    # 81 forms over 33 points, 7 codewords per product: 11 full chunks
+    # and a last one of 4.
+    dom = detcode.make_domain(f3, 2, 2, 1, "affine")
+    monkeypatch.setattr(detcode, "NAIVE_CHUNK_BYTES", 8 * len(dom) * 7)
+    sizes = []
+    real = detcode.gf_matmul
+    monkeypatch.setattr(
+        detcode, "gf_matmul", lambda f, A, B: sizes.append(len(A)) or real(f, A, B)
+    )
+    naive = detcode.naive_weight_enumerator(f3, 2, 2, 1, "affine")
+    assert sizes == [7] * 11 + [4]
+    assert naive.pairs == detcode.brute_weight_enumerator(f3, 2, 2, 1, "affine").pairs
+
+
 @pytest.mark.parametrize("q,l,m,t", [(2, 2, 2, 1), (2, 2, 2, 2), (3, 2, 2, 1), (2, 2, 3, 1)])
 def test_affine_projective_spectrum_transfer(q, l, m, t):
     f = make_field(q)

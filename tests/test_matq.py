@@ -2,13 +2,43 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detcodes import counting, make_field
 from detcodes import matq
 from detcodes._kernels import gf_matmul
-from detcodes.errors import BadParameters, EmptyVariety, IndexOutOfRange
+from detcodes.errors import BadParameters, BudgetExceeded, EmptyVariety, IndexOutOfRange
 
 from conftest import scalar_rank
+
+# GF(9) is an extension field of odd characteristic; p = 1031 lies above
+# gf.TABLE_MAX_Q, so it is reduced mod p with no tables.
+ELIMINATION_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (1031, 1)]
+
+
+def _rank_deficient(field, rng, l, m):
+    """A random l x m matrix with a zero row, a zero column and, for
+    l >= 3, a third row that is a combination of the first two."""
+    A = rng.integers(0, field.q, size=(l, m), dtype=np.int64)
+    A[rng.integers(l)] = 0
+    A[:, rng.integers(m)] = 0
+    if l >= 3:
+        a, b = (int(x) for x in rng.integers(0, field.q, size=2))
+        A[2] = [field.add(field.mul(a, int(x)), field.mul(b, int(y))) for x, y in zip(A[0], A[1])]
+    return A
+
+
+def _assert_rref_of(field, A, R, pivots):
+    """R is in reduced row echelon form and spans the row space of A,
+    checked with scalar field arithmetic only."""
+    r = scalar_rank(field, A)
+    assert len(pivots) == len(R) == r
+    assert all(a < b for a, b in zip(pivots, pivots[1:]))
+    for i, c in enumerate(pivots):
+        assert not R[i, :c].any() and R[i, c] == 1
+        assert [int(x) for x in R[:, c]] == [int(k == i) for k in range(r)]
+    assert scalar_rank(field, np.vstack([A, R])) == r
 
 
 def test_rank_examples(f2, f3):
@@ -35,20 +65,78 @@ def test_normal_form_examples(f2):
     assert res.tolist() == [[1, 0], [0, 0]]
 
 
-@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2)])
+@pytest.mark.parametrize("p,e", ELIMINATION_FIELDS)
 def test_normal_form_reconstructs_block_identity(p, e):
     f = make_field(p, e)
     rng = np.random.default_rng(11)
-    for _ in range(40):
-        l, m = rng.integers(1, 4), rng.integers(1, 5)
-        M = rng.integers(0, f.q, size=(l, m))
+    cases = [rng.integers(0, f.q, size=(rng.integers(1, 4), rng.integers(1, 5))) for _ in range(30)]
+    cases += [_rank_deficient(f, rng, l, m) for l, m in [(3, 2), (4, 2), (4, 3), (3, 3), (2, 4)]]
+    cases += [np.zeros((2, 3), dtype=np.int64), np.zeros((3, 1), dtype=np.int64)]
+    for M in cases:
+        l, m = M.shape
         P, Q, r = matq.normal_form(f, M)
-        assert r == matq.rank(f, M)
-        assert matq.rank(f, P) == l and matq.rank(f, Q) == m  # invertible
+        assert r == scalar_rank(f, M)
+        assert scalar_rank(f, P) == l and scalar_rank(f, Q) == m  # invertible
         res = gf_matmul(f, gf_matmul(f, P, M), Q)
         expect = np.zeros((l, m), dtype=np.int64)
         expect[range(r), range(r)] = 1
         assert (res == expect).all()
+
+
+@pytest.mark.parametrize("p,e", ELIMINATION_FIELDS)
+def test_rref_matches_scalar_oracle(p, e):
+    f = make_field(p, e)
+    rng = np.random.default_rng(23 * p + e)
+    for _ in range(25):
+        A = _rank_deficient(f, rng, int(rng.integers(1, 6)), int(rng.integers(1, 7)))
+        _assert_rref_of(f, A, *matq.rref(f, A))
+    for shape in [(1, 1), (3, 4)]:
+        R, pivots = matq.rref(f, np.zeros(shape, dtype=np.int64))
+        assert R.shape == (0, shape[1]) and pivots == []
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.data())
+def test_rref_matches_scalar_oracle_on_random_inputs(data):
+    f = make_field(*data.draw(st.sampled_from(ELIMINATION_FIELDS + [(7, 1), (2, 3)])))
+    l = data.draw(st.integers(1, 5))
+    m = data.draw(st.integers(1, 6))
+    entries = data.draw(st.lists(st.integers(0, f.q - 1), min_size=l * m, max_size=l * m))
+    A = np.array(entries, dtype=np.int64).reshape(l, m)
+    A[data.draw(st.lists(st.integers(0, l - 1), unique=True), label="zero rows")] = 0
+    A[:, data.draw(st.lists(st.integers(0, m - 1), unique=True), label="zero columns")] = 0
+    _assert_rref_of(f, A, *matq.rref(f, A))
+
+
+def test_elimination_leaves_its_input_unchanged(f3):
+    M = np.array([[0, 2, 1], [2, 1, 0], [1, 0, 2]], dtype=np.int64)
+    before = M.copy()
+    assert matq.rank(f3, M) == 2
+    matq.rref(f3, M)
+    matq.normal_form(f3, M)
+    assert (M == before).all()
+
+
+def test_rref_and_normal_form_above_table_limit_are_budget_errors():
+    f = make_field(2, 11)
+    with pytest.raises(BudgetExceeded):
+        matq.rref(f, [[1, 2], [3, 4]])
+    with pytest.raises(BudgetExceeded):
+        matq.normal_form(f, [[1, 2], [3, 4]])
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2)])
+def test_span_ranks_matches_scalar_oracle(p, e):
+    f = make_field(p, e)
+    rng = np.random.default_rng(31 * p + e)
+    l, m = 2, 3
+    for r in range(4):
+        bases = rng.integers(0, f.q, size=(3, r, l * m), dtype=np.int64)
+        got = matq.span_ranks(f, bases, l, m)
+        assert got.shape == (3, f.q**r)
+        for basis, ranks in zip(bases, got):
+            span = matq.span_vectors(f, basis)
+            assert ranks.tolist() == [scalar_rank(f, v.reshape(l, m)) for v in span]
 
 
 def test_outer_examples(f2, f3):

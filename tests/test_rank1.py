@@ -128,6 +128,12 @@ def test_count_rank1_examples(f2):
     assert rank1.count_rank1(f2, basis, 2, 2) == 2
 
 
+def test_empty_basis_spans_only_the_zero_vector(f2):
+    zero = matq.span_vectors(f2, np.zeros((0, 5), dtype=np.int64))
+    assert zero.tolist() == [[0, 0, 0, 0, 0]]
+    assert rank1.count_rank1(f2, np.zeros((0, 4), dtype=np.int64), 2, 2) == 0
+
+
 def test_classify_space_row_and_col(f2, f3):
     # Row type: first row varies, so u = e1 is fixed.
     row = np.array([[1, 0, 0, 0], [0, 1, 0, 0]])

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-_RANK_CHUNK = 1 << 18
+_RANK_CHUNK = 1 << 16  # matrices per elimination, and per step of matq.scan_matrices
 
 
 def row_reduce(field, w: np.ndarray) -> np.ndarray:
@@ -23,7 +23,7 @@ def row_reduce(field, w: np.ndarray) -> np.ndarray:
     form in place, zero rows last, and return the ranks."""
     p = field.p
     t = field.tables if field.e > 1 else None
-    inv = t.inv if t is not None else np.array([0] + [pow(a, -1, p) for a in range(1, p)])
+    inv = field.inverses
     B, R, C = w.shape
     r = np.zeros(B, dtype=np.int64)
     rows = np.arange(R)

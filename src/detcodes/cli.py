@@ -13,8 +13,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import counting, detcode, formulas, matq, rank1
 from .errors import BudgetExceeded, DetcodeError
 from .gf import parse_q
@@ -34,6 +32,11 @@ def _emit(args, payload: dict, table_lines: list[str]) -> None:
         print(text)
 
 
+def _length(field, l, m, t, mode) -> int:
+    """Code length n (affine) or n_hat (projective), from the closed form."""
+    return counting.lengths(l, m, t, field.q)[0 if mode == "affine" else 1]
+
+
 def _spectrum_payload(field, l, m, t, mode, rep: detcode.SpectrumReport) -> dict:
     return {
         "q": field.q,
@@ -41,7 +44,7 @@ def _spectrum_payload(field, l, m, t, mode, rep: detcode.SpectrumReport) -> dict
         "m": m,
         "t": t,
         "mode": mode,
-        "length": len(detcode.make_domain(field, l, m, t, mode)),
+        "length": _length(field, l, m, t, mode),
         "dimension": l * m,
         "spectrum": [{"w": w, "count": str(c)} for w, c in rep.pairs],
     }
@@ -127,7 +130,7 @@ def cmd_ghw(args) -> int:
         lines.append(f"{r:>3} {res.kind:>6} {shown:>16} {row['source']:<32} {mark}")
     payload = {
         "q": field.q, "l": l, "m": m, "t": t, "mode": mode,
-        "length": counting.lengths(l, m, t, field.q)[0 if mode == "affine" else 1],
+        "length": _length(field, l, m, t, mode),
         "dimension": l * m,
         "ghw": rows,
     }
@@ -240,18 +243,10 @@ def _verify_checks(field, l, m, t):
     )
     out.append(check("spectrum transfer A_{i(q-1)} = A_hat_i", ok_transfer))
 
-    # alternating-sum count vs direct enumeration, all rank classes
-    mats, ranks = matq._space_ranks(field, l, m)
-    add_t = field.tables.add
-    ok_dels = True
-    for r in range(l + 1):
-        acc = np.zeros(len(mats), dtype=np.int64)
-        for i in range(r):
-            acc = add_t[acc, mats[:, i, i]]
-        for tt in range(l + 1):
-            direct = int(np.count_nonzero((ranks == tt) & (acc != 0)))
-            if formulas.delsarte_N(tt, r, l, m, q) != direct:
-                ok_dels = False
+    # alternating-sum count vs direct enumeration, all (t, r) cells
+    _, direct = detcode.rank_trace_counts(field, l, m, l, "affine")
+    ok_dels = all(formulas.delsarte_N(tt, r, l, m, q) == direct[tt, r]
+                  for tt in range(l + 1) for r in range(l + 1))
     out.append(check("alternating-sum rank counts vs enumeration", ok_dels))
 
     gen = detcode.generator_matrix(detcode.make_domain(field, l, m, t, "projective"))

@@ -58,19 +58,26 @@ def generator_matrix(dom: EvaluationDomain) -> np.ndarray:
     return dom.points.reshape(len(dom), dom.l * dom.m).T.copy()
 
 
+def _trace_nonzero(field, mats: np.ndarray) -> np.ndarray:
+    """(B, l+1) mask of tau_r(M) != 0 for r = 0..l over a (B, l, m) stack,
+    where the partial trace tau_r sums the first r diagonal entries."""
+    B, l, _ = mats.shape
+    add_t = field.tables.add
+    acc = np.zeros(B, dtype=np.int64)
+    out = np.zeros((B, l + 1), dtype=bool)
+    for r in range(1, l + 1):
+        acc = add_t[acc, mats[:, r - 1, r - 1]]
+        out[:, r] = acc != 0
+    return out
+
+
 @lru_cache(maxsize=64)
 def weight_table(dom: EvaluationDomain) -> tuple[int, ...]:
     """w_r = #{M in the domain : tau_r(M) != 0} for r = 0..l.
 
     By the partial-trace reduction these are all the codeword weights.
     """
-    add_t = dom.field.tables.add
-    acc = np.zeros(len(dom), dtype=np.int64)
-    out = [0]
-    for r in range(1, dom.l + 1):
-        acc = add_t[acc, dom.points[:, r - 1, r - 1]]
-        out.append(int(np.count_nonzero(acc)))
-    return tuple(out)
+    return tuple(int(w) for w in _trace_nonzero(dom.field, dom.points).sum(axis=0))
 
 
 def weight_of_form(dom: EvaluationDomain, F) -> int:
@@ -97,37 +104,49 @@ def _spectrum_from(mode, weight_counts: dict[int, int]) -> SpectrumReport:
     return SpectrumReport(mode=mode, pairs=pairs, total=sum(c for _, c in pairs))
 
 
+def rank_trace_counts(field, l, m, t, mode) -> tuple[np.ndarray, np.ndarray]:
+    """(rank_counts, trace_counts), counted in one walk of the matrix space.
+
+    ``rank_counts[j]`` is the number of l x m matrices of rank j, and
+    ``trace_counts[j, r]`` the number of points of the rank-<=t domain
+    that have rank j and tau_r != 0, for r = 0..l.
+    """
+    rank_counts = np.zeros(l + 1, dtype=np.int64)
+    trace_counts = np.zeros((l + 1, l + 1), dtype=np.int64)
+    for mats, ranks, keep in matq.scan_matrices(field, l, m, t, mode):
+        rank_counts += np.bincount(ranks, minlength=l + 1)
+        np.add.at(trace_counts, ranks[keep], _trace_nonzero(field, mats[keep]))
+    return rank_counts, trace_counts
+
+
 def brute_weight_enumerator(field, l, m, t, mode) -> SpectrumReport:
     """Weight enumerator by exhaustive computation, grouped by form rank.
 
-    Forms of equal coefficient-matrix rank share a weight, so one domain
-    scan per rank class suffices; the per-rank codeword counts come from
-    an exhaustive rank histogram of the full matrix space.
+    Forms of equal coefficient-matrix rank share a weight: w_r, the number
+    of domain points with tau_r != 0.  One walk of the matrix space counts
+    both these weights and the forms of each rank; no domain is kept.
     """
-    dom = make_domain(field, l, m, t, mode)
-    wt = weight_table(dom)
-    _, ranks = matq._space_ranks(field, l, m)
-    hist = np.bincount(ranks, minlength=l + 1)
+    rank_counts, trace_counts = rank_trace_counts(field, l, m, t, mode)
+    wt = trace_counts.sum(axis=0)
     counts: Counter[int] = Counter()
     for r in range(l + 1):
-        counts[wt[r]] += int(hist[r])
+        counts[int(wt[r])] += int(rank_counts[r])
     return _spectrum_from(mode, counts)
 
 
 def naive_weight_enumerator(field, l, m, t, mode) -> SpectrumReport:
     """Fully naive oracle: evaluate every form over the whole domain."""
     dom = make_domain(field, l, m, t, mode)
-    nforms = field.q ** (l * m)
-    if nforms * len(dom) > NAIVE_COST_BUDGET:
+    if field.q ** (l * m) * len(dom) > NAIVE_COST_BUDGET:
         raise BudgetExceeded("naive enumeration cost exceeds the budget")
-    forms = matq.all_matrices(field, l, m).reshape(nforms, l * m)
     gen = generator_matrix(dom)
-    chunk = max(1, NAIVE_CHUNK_BYTES // (8 * len(dom)))
+    block = max(1, NAIVE_CHUNK_BYTES // (8 * len(dom)))
     counts: Counter[int] = Counter()
-    for lo in range(0, nforms, chunk):
-        words = gf_matmul(field, forms[lo : lo + chunk], gen)
-        for w in np.count_nonzero(words, axis=1):
-            counts[int(w)] += 1
+    for mats, _, _ in matq.scan_matrices(field, l, m, l, "affine"):
+        forms = mats.reshape(len(mats), l * m)
+        for lo in range(0, len(forms), block):
+            words = gf_matmul(field, forms[lo : lo + block], gen)
+            counts.update(np.count_nonzero(words, axis=1).tolist())
     return _spectrum_from(mode, counts)
 
 

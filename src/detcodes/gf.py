@@ -84,39 +84,6 @@ def _pmod(a, b, p):
     return a
 
 
-def _pdivmod(a, b, p):
-    """Quotient and remainder of a by b over GF(p); b need not be monic."""
-    rem = list(a)
-    quo = [0] * max(len(a) - len(b) + 1, 1)
-    lead_inv = pow(b[-1], p - 2, p)
-    while rem and len(rem) >= len(b):
-        c = (rem[-1] * lead_inv) % p
-        shift = len(rem) - len(b)
-        quo[shift] = c
-        for i in range(len(b)):
-            rem[shift + i] = (rem[shift + i] - c * b[i]) % p
-        _ptrim(rem)
-    return _ptrim(quo), rem
-
-
-def _psub(a, b, p):
-    n = max(len(a), len(b))
-    a = a + [0] * (n - len(a))
-    b = b + [0] * (n - len(b))
-    return _ptrim([(x - y) % p for x, y in zip(a, b)])
-
-
-def _pegcd(a, b, p):
-    """Extended gcd for polynomials; returns (g, s) with s*a ≡ g (mod b)."""
-    r0, r1 = list(b), list(a)
-    s0, s1 = [], [1]
-    while r1:
-        q_, rem = _pdivmod(r0, r1, p)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _psub(s0, _pmul(q_, s1, p), p)
-    return r0, s0
-
-
 def _monic_polys(p, d):
     """All monic polynomials of degree d over GF(p), little-endian."""
     for k in range(p**d):
@@ -197,13 +164,7 @@ class Field:
         self._check(a)
         if a == 0:
             raise DivisionByZero("inverse of 0")
-        if self.e == 1:
-            return pow(a, self.p - 2, self.p)
-        g, s = _pegcd(_ptrim(self.digits(a)), list(self.modulus), self.p)
-        # g is a nonzero constant; divide it out
-        c_inv = pow(g[0], self.p - 2, self.p)
-        s = [(x * c_inv) % self.p for x in s]
-        return self.index(_pmod(s, list(self.modulus), self.p) + [0] * self.e)
+        return self.pow(a, self.q - 2)
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -235,9 +196,7 @@ class Field:
             add = (a[:, None] + a[None, :]) % p
             mul = (a[:, None] * a[None, :]) % p
             neg = (-a) % p
-            inv = np.zeros(q, dtype=np.int64)
-            for x in range(1, q):
-                inv[x] = pow(x, p - 2, p)
+            inv = self.inverses
         else:
             D, pows = self.prime_rep.digits, self.prime_rep.pows
             add = ((D[:, None, :] + D[None, :, :]) % p) @ pows
@@ -264,6 +223,25 @@ class Field:
             neg=np.ascontiguousarray(neg, dtype=np.int32),
             inv=np.ascontiguousarray(inv, dtype=np.int32),
         )
+
+    @cached_property
+    def inverses(self) -> np.ndarray:
+        """int64 array of a^-1 for every element a (0 maps to 0), built
+        once per field.  Prime fields take a^(p-2) in numpy, so no q x q
+        table is needed; extension fields read ``tables.inv``."""
+        if self.e > 1:
+            return self.tables.inv.astype(np.int64)
+        p = self.p
+        out = np.ones(p, dtype=np.int64)
+        base = np.arange(p, dtype=np.int64)
+        n = p - 2
+        while n:
+            if n & 1:
+                out = out * base % p
+            base = base * base % p
+            n >>= 1
+        out[0] = 0
+        return out
 
     def _generator(self) -> int:
         for g in range(2, self.q):

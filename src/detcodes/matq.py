@@ -8,12 +8,11 @@ matrices are equal iff they span the same subspace.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
-from . import counting
+from . import _kernels, counting
 from ._kernels import gf_matmul, gf_matmul_batch, rank_batch, row_reduce
 from .errors import (
     BadParameters,
@@ -24,7 +23,7 @@ from .errors import (
 )
 
 # Hard ceilings for exhaustive enumeration (desk-scale verifier).
-MATRIX_SPACE_BUDGET = 50_000_000  # q^(l*m) matrices generated
+MATRIX_SPACE_BUDGET = 50_000_000  # q^(l*m) matrices walked by scan_matrices
 DOMAIN_BUDGET = 10_000_000  # points kept in an evaluation domain
 SUBSPACE_BUDGET = 10_000_000  # subspaces visited
 _SUBSPACE_BATCH = 4096  # bases per stack yielded by subspace_batches
@@ -96,22 +95,6 @@ def _base_q_digits(a: np.ndarray, q: int, width: int) -> np.ndarray:
     return d
 
 
-def all_matrices(field, l: int, m: int) -> np.ndarray:
-    """All q^(l*m) matrices, lexicographic in their row-major entry tuples."""
-    q = field.q
-    total = q ** (l * m)
-    if total > MATRIX_SPACE_BUDGET:
-        raise BudgetExceeded(f"q^(l*m) = {total} exceeds the enumeration budget")
-    return _base_q_digits(np.arange(total, dtype=np.int64), q, l * m).reshape(total, l, m)
-
-
-@lru_cache(maxsize=32)
-def _space_ranks(field, l: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(all matrices, their ranks); cached since several ops share it."""
-    mats = all_matrices(field, l, m)
-    return mats, rank_batch(field, mats)
-
-
 def is_canonical_rep(mats: np.ndarray) -> np.ndarray:
     """Mask of matrices whose first nonzero row-major entry equals 1."""
     flat = mats.reshape(mats.shape[0], -1)
@@ -120,11 +103,13 @@ def is_canonical_rep(mats: np.ndarray) -> np.ndarray:
     return nz.any(axis=1) & (flat[np.arange(len(flat)), first] == 1)
 
 
-def enumerate_matrices(field, l: int, m: int, t: int, mode: str) -> np.ndarray:
-    """Points of the rank-<=t matrix variety, affine or projective.
+def scan_matrices(field, l: int, m: int, t: int, mode: str):
+    """Walk all q^(l*m) l x m matrices, lexicographic in their row-major
+    entry tuples, one ``_kernels._RANK_CHUNK`` at a time.
 
-    Projective representatives are scaled so the first nonzero row-major
-    entry is 1.  Order is lexicographic in row-major entry tuples.
+    Yields (mats, ranks, keep) per chunk, where ``keep`` masks the points
+    of the rank-<=t variety (projective: nonzero and canonical).  Memory
+    is one chunk, whatever the size of the space.
     """
     if mode not in ("affine", "projective"):
         raise BadParameters(f"mode must be affine or projective, got {mode!r}")
@@ -132,15 +117,33 @@ def enumerate_matrices(field, l: int, m: int, t: int, mode: str) -> np.ndarray:
         raise BadParameters(f"need 0 <= t <= l <= m, got t={t}, l={l}, m={m}")
     if mode == "projective" and t == 0:
         raise EmptyVariety("the projective rank-0 locus is empty")
-    mats, ranks = _space_ranks(field, l, m)
-    if mode == "affine":
+    q = field.q
+    total = q ** (l * m)
+    if total > MATRIX_SPACE_BUDGET:
+        raise BudgetExceeded(f"q^(l*m) = {total} exceeds the enumeration budget")
+    for lo in range(0, total, _kernels._RANK_CHUNK):
+        idx = np.arange(lo, min(lo + _kernels._RANK_CHUNK, total), dtype=np.int64)
+        mats = _base_q_digits(idx, q, l * m).reshape(len(idx), l, m)
+        ranks = rank_batch(field, mats)
         keep = ranks <= t
-    else:
-        keep = (ranks >= 1) & (ranks <= t) & is_canonical_rep(mats)
-    pts = mats[keep]
-    if len(pts) > DOMAIN_BUDGET:
-        raise BudgetExceeded(f"domain has {len(pts)} points (budget {DOMAIN_BUDGET})")
-    return pts
+        if mode == "projective":
+            keep &= (ranks >= 1) & is_canonical_rep(mats)
+        yield mats, ranks, keep
+
+
+def enumerate_matrices(field, l: int, m: int, t: int, mode: str) -> np.ndarray:
+    """Points of the rank-<=t matrix variety, affine or projective.
+
+    Projective representatives are scaled so the first nonzero row-major
+    entry is 1.  Order is lexicographic in row-major entry tuples.
+    """
+    parts, kept = [], 0
+    for mats, _, keep in scan_matrices(field, l, m, t, mode):
+        parts.append(mats[keep])
+        kept += len(parts[-1])
+        if kept > DOMAIN_BUDGET:
+            raise BudgetExceeded(f"domain exceeds its budget of {DOMAIN_BUDGET} points")
+    return np.concatenate(parts)
 
 
 def _pivot_profiles(N: int, r: int):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from detcodes import counting, detcode, formulas, gf, matq, rank1
+from detcodes._kernels import rank_batch
 from detcodes.counting import gaussian_binomial, mu, rank1_bound
 
 
@@ -89,7 +90,8 @@ def test_acceptance_3_delsarte_cross_check():
         field = _field_for(q)
         for l in range(1, 4):
             for m in range(l, 4):
-                mats, ranks = matq._space_ranks(field, l, m)
+                mats = matq.enumerate_matrices(field, l, m, l, "affine")
+                ranks = rank_batch(field, mats)
                 add_t = field.tables.add
                 for r in range(l + 1):
                     acc = np.zeros(len(mats), dtype=np.int64)
@@ -249,8 +251,7 @@ def test_acceptance_9_counting_identities():
                 if sum(mu(l, m, r, q) for r in range(l + 1)) != q ** (l * m):
                     ok = False
     field = gf.make_field(2, 1)
-    mats, ranks = matq._space_ranks(field, 2, 2)
-    r1 = [M for M, r in zip(mats, ranks) if r == 1]
+    r1 = [M for M in matq.enumerate_matrices(field, 2, 2, 1, "affine") if M.any()]
     add = field.tables.add
     checked = 0
     for A, B in itertools.product(r1, repeat=2):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from detcodes import cli, detcode, formulas, gf
+from detcodes import cli, detcode, formulas, gf, matq
 
 
 def run(args, capsys):
@@ -44,6 +44,31 @@ def test_spectrum_json_counts_are_strings(capsys):
         assert isinstance(entry["count"], str)
     got = {e["w"]: int(e["count"]) for e in payload["spectrum"]}
     assert got == {0: 1, 9: 32, 12: 48}
+
+
+def test_spectrum_closed_path_walks_no_matrix_space(capsys, monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("the closed path walked the matrix space")
+
+    monkeypatch.setattr(matq, "scan_matrices", no_walk)
+    code, out, _ = run(
+        ["spectrum", "--q", "5", "--l", "3", "--m", "3", "--t", "1",
+         "--path", "closed", "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    assert json.loads(out)["length"] == 961
+
+
+def test_spectrum_both_paths_rank_the_space_once(capsys, monkeypatch):
+    ranked = []
+    real = matq.rank_batch
+    monkeypatch.setattr(matq, "rank_batch", lambda f, mats: ranked.append(len(mats)) or real(f, mats))
+    code, out, _ = run(
+        ["spectrum", "--q", "3", "--l", "2", "--m", "3", "--t", "1", "--format", "json"], capsys
+    )
+    assert code == 0 and json.loads(out)["match"]
+    assert sum(ranked) == 3**6
 
 
 def test_spectrum_affine(capsys):
@@ -245,6 +270,21 @@ def test_verify_witness_check_fails_on_a_worse_subcode(capsys, monkeypatch):
     code, out, _ = run(["verify", "--q", "2", "--l", "3", "--m", "3", "--t", "1"], capsys)
     assert code == 1
     assert "FAIL  witness subcodes attain the known values" in out
+
+
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_verify_alternating_sum_check_fails_on_a_wrong_cell(capsys, monkeypatch, r):
+    # The rank-2 row (t = l) is not used by the t=1 closed spectrum, so only
+    # the alternating-sum check sees this cell change.
+    real = formulas.delsarte_N
+    monkeypatch.setattr(
+        formulas, "delsarte_N",
+        lambda t, rr, l, m, q: real(t, rr, l, m, q) + ((t, rr) == (2, r)),
+    )
+    code, out, _ = run(["verify", "--q", "2", "--l", "2", "--m", "2", "--t", "1"], capsys)
+    assert code == 1
+    assert "FAIL  alternating-sum rank counts vs enumeration" in out
+    assert sum(line.startswith("FAIL  ") for line in out.splitlines()) == 1
 
 
 def test_verify_reports_skipped_checks_and_never_counts_them(capsys):

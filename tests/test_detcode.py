@@ -1,10 +1,11 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from detcodes import counting, detcode, make_field, matq
-from detcodes.errors import ShapeMismatch
+from detcodes import _kernels, counting, detcode, make_field, matq
+from detcodes.errors import BudgetExceeded, ShapeMismatch
 
 from conftest import naive_codeword
 
@@ -109,6 +110,60 @@ def test_naive_enumerator_over_several_ragged_chunks(f3, monkeypatch):
     naive = detcode.naive_weight_enumerator(f3, 2, 2, 1, "affine")
     assert sizes == [7] * 11 + [4]
     assert naive.pairs == detcode.brute_weight_enumerator(f3, 2, 2, 1, "affine").pairs
+
+
+def test_brute_enumerator_keeps_no_domain(f3, monkeypatch):
+    def no_domain(*args):
+        raise AssertionError("the brute spectrum built a domain")
+
+    monkeypatch.setattr(detcode, "make_domain", no_domain)
+    monkeypatch.setattr(matq, "enumerate_matrices", no_domain)
+    assert detcode.brute_weight_enumerator(f3, 2, 2, 1, "projective").as_dict() == {
+        0: 1, 9: 32, 12: 48
+    }
+
+
+@pytest.mark.parametrize("p,e,l,m", [(2, 1, 2, 3), (3, 1, 2, 2), (2, 2, 2, 2)])
+@pytest.mark.parametrize("mode", ["affine", "projective"])
+def test_walk_agrees_across_chunk_boundaries(p, e, l, m, mode, monkeypatch):
+    f = make_field(p, e)
+    ts = range(0 if mode == "affine" else 1, l + 1)
+    one_chunk = {t: (matq.enumerate_matrices(f, l, m, t, mode),
+                     detcode.rank_trace_counts(f, l, m, t, mode)) for t in ts}
+    monkeypatch.setattr(_kernels, "_RANK_CHUNK", 7)
+    chunks = [len(mats) for mats, _, _ in matq.scan_matrices(f, l, m, l, mode)]
+    assert chunks == [7] * (f.q ** (l * m) // 7) + [f.q ** (l * m) % 7]
+    for t in ts:
+        pts, (rank_counts, trace_counts) = one_chunk[t]
+        assert np.array_equal(matq.enumerate_matrices(f, l, m, t, mode), pts)
+        got_ranks, got_traces = detcode.rank_trace_counts(f, l, m, t, mode)
+        assert np.array_equal(got_ranks, rank_counts) and np.array_equal(got_traces, trace_counts)
+
+
+def test_domain_budget_stops_the_walk_early(f2, monkeypatch):
+    monkeypatch.setattr(_kernels, "_RANK_CHUNK", 7)
+    monkeypatch.setattr(matq, "DOMAIN_BUDGET", 10)
+    ranked = []
+    real = matq.rank_batch
+    monkeypatch.setattr(matq, "rank_batch", lambda f, mats: ranked.append(len(mats)) or real(f, mats))
+    with pytest.raises(BudgetExceeded):
+        matq.enumerate_matrices(f2, 2, 3, 2, "affine")
+    assert ranked == [7, 7]  # 14 of 64 points kept when the budget stopped it
+
+
+def test_brute_enumerator_memory_is_one_chunk(f2, monkeypatch):
+    # The whole GF(2) 4x4 space is 65536 matrices (38 MB of peak
+    # allocation when it was ranked at once); 1024 at a time stay small.
+    monkeypatch.setattr(_kernels, "_RANK_CHUNK", 1024)
+    f2.tables, f2.inverses
+    tracemalloc.start()
+    try:
+        rep = detcode.brute_weight_enumerator(f2, 4, 4, 1, "projective")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.total == 2**16
+    assert peak < 4 << 20
 
 
 @pytest.mark.parametrize("q,l,m,t", [(2, 2, 2, 1), (2, 2, 2, 2), (3, 2, 2, 1), (2, 2, 3, 1)])

@@ -7,6 +7,8 @@ from detcodes import counting, detcode, formulas, gf, matq
 from detcodes._kernels import rank_batch
 from detcodes.errors import BadParameters
 
+from conftest import scalar_rank
+
 
 def _field_for(q):
     for p in (2, 3, 5, 7, 11, 13):
@@ -66,9 +68,9 @@ def test_what_r_matches_enumerated_weight_table():
 
 def _direct_N(field, l, m, t, r):
     """Count rank-t matrices M with tau_r(M) != 0, by full enumeration."""
-    mats, ranks = matq._space_ranks(field, l, m)
+    mats = matq.enumerate_matrices(field, l, m, l, "affine")
     count = 0
-    for M in mats[ranks == t]:
+    for M in mats[rank_batch(field, mats) == t]:
         acc = 0
         for i in range(r):
             acc = field.add(acc, int(M[i, i]))
@@ -84,11 +86,15 @@ def test_delsarte_vs_enumeration(q):
         for m in range(l, 4):
             if q ** (l * m) > 3**6:
                 continue
+            rank_counts, trace_counts = detcode.rank_trace_counts(field, l, m, l, "affine")
+            space = matq.enumerate_matrices(field, l, m, l, "affine")
+            scalar = [scalar_rank(field, M) for M in space]
+            assert rank_counts.tolist() == [scalar.count(j) for j in range(l + 1)]
             for t in range(l + 1):
                 for r in range(l + 1):
-                    assert formulas.delsarte_N(t, r, l, m, q) == _direct_N(
-                        field, l, m, t, r
-                    ), (q, l, m, t, r)
+                    direct = _direct_N(field, l, m, t, r)
+                    assert formulas.delsarte_N(t, r, l, m, q) == direct, (q, l, m, t, r)
+                    assert trace_counts[t, r] == direct, (q, l, m, t, r)
 
 
 def test_delsarte_hand_values():

@@ -1,6 +1,10 @@
+import builtins
+import functools
+
+import numpy as np
 import pytest
 
-from detcodes import gf, make_field
+from detcodes import gf, make_field, matq
 from detcodes.errors import DegreeZero, DivisionByZero, FieldMismatch, FieldTooLarge, NotPrime
 from detcodes.gf import _is_irreducible, parse_q
 
@@ -93,6 +97,25 @@ def test_tables_agree_with_polynomial_arithmetic(p, e):
             assert t.add[a, b] == f.add(a, b)
             assert t.sub[a, b] == f.sub(a, b)
             assert t.mul[a, b] == f.mul(a, b)
+
+
+def test_prime_inverses_are_built_once_per_field(monkeypatch):
+    builds = []
+    real = gf.Field.__dict__["inverses"].func
+    prop = functools.cached_property(lambda self: builds.append(self.q) or real(self))
+    prop.__set_name__(gf.Field, "inverses")
+    monkeypatch.setattr(gf.Field, "inverses", prop)
+    f = gf.Field(p=65521, e=1, q=65521, modulus=(65520, 1))
+    assert matq.rank(f, [[1, 2], [3, 4]]) == 2
+    inv = f.inverses
+    assert inv[0] == 0 and (inv[1:] * np.arange(1, 65521) % 65521 == 1).all()
+
+    def no_pow(*args):
+        raise AssertionError("inverses recomputed with pow")
+
+    monkeypatch.setattr(builtins, "pow", no_pow)
+    assert matq.rank(f, [[1, 2], [2, 4]]) == 1
+    assert builds == [65521]
 
 
 def test_parse_q():

@@ -11,6 +11,11 @@ from detcodes.counting import rank1_bound
 from detcodes.errors import BadParameters, EquationViolated, NotRankOne
 
 
+def _rank1_matrices(field, l, m):
+    """Every l x m rank-1 matrix: the t=1 affine domain less its zero matrix."""
+    return [M for M in matq.enumerate_matrices(field, l, m, 1, "affine") if M.any()]
+
+
 # ---------------------------------------------------------------------------
 # factor: canonical outer-product factorization
 # ---------------------------------------------------------------------------
@@ -40,9 +45,8 @@ def test_factor_roundtrip_exhaustive(q, p, e):
         for m in range(l, 4):
             if q ** (l * m) > 3**6:
                 continue
-            mats, ranks = matq._space_ranks(field, l, m)
             seen = set()
-            for M in mats[ranks == 1]:
+            for M in _rank1_matrices(field, l, m):
                 u, v = rank1.factor(field, M)
                 assert (matq.outer(field, u, v) == M).all()
                 # canonical pair is unique per matrix
@@ -78,8 +82,7 @@ def test_rank1_sum_dichotomy_exhaustive_gf2():
     # Sweep every pair of rank-1 2x2 matrices over GF(2) whose sum is also
     # rank 1; the dichotomy must hold in every single case.
     field = gf.make_field(2, 1)
-    mats, ranks = matq._space_ranks(field, 2, 2)
-    r1 = [M for M, r in zip(mats, ranks) if r == 1]
+    r1 = _rank1_matrices(field, 2, 2)
     add = field.tables.add
     cases = 0
     for A, B in itertools.product(r1, repeat=2):
@@ -98,8 +101,7 @@ def test_rank1_sum_dichotomy_exhaustive_gf2():
 
 def test_rank1_sum_dichotomy_exhaustive_gf3():
     field = gf.make_field(3, 1)
-    mats, ranks = matq._space_ranks(field, 2, 2)
-    r1 = [M for M, r in zip(mats, ranks) if r == 1]
+    r1 = _rank1_matrices(field, 2, 2)
     add = field.tables.add
     hits = 0
     for A, B in itertools.product(r1, repeat=2):

@@ -2,7 +2,10 @@
 
 One batched in-place reduction to reduced row echelon form serves every
 field and every caller: ``rank_batch`` keeps only its ranks, while
-``matq.rref`` and ``matq.normal_form`` read the reduced matrices.  Only
+``matq.rref``, ``matq.normal_form`` and the walk of the matrix space in
+``matq.scan_matrices`` read the reduced matrices; the walk then tests
+last rows for row-space membership with the one product, ``_matmul``,
+which also serves ``gf_matmul`` and ``gf_matmul_batch``.  Only
 its row arithmetic depends on the field: prime fields reduce integer
 arithmetic mod p, so any p up to ``gf.MAX_Q`` works without tables;
 extension fields look sums and products up in ``Field.tables``, so they
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-_RANK_CHUNK = 1 << 16  # matrices per elimination, and per step of matq.scan_matrices
+_RANK_CHUNK = 1 << 16  # matrices per rank_batch elimination, and per block of matq.scan_matrices
 
 
 def row_reduce(field, w: np.ndarray) -> np.ndarray:
@@ -61,15 +64,17 @@ def rank_batch(field, mats: np.ndarray) -> np.ndarray:
 
 
 def _matmul(field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """GF(q) product of A (x, k) and B (..., k, y)."""
+    """GF(q) product of A (..., x, k) and B (..., k, y), stack dimensions
+    broadcast as in ``np.matmul``."""
     A = np.asarray(A, dtype=np.int64)
     B = np.asarray(B, dtype=np.int64)
     if field.e == 1:
         return (A @ B) % field.p
     t = field.tables
-    out = np.zeros(B.shape[:-2] + (A.shape[0], B.shape[-1]), dtype=np.int64)
-    for s in range(A.shape[1]):
-        out = t.add[out, t.mul[A[:, s, None], B[..., s, None, :]]]
+    stack = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+    out = np.zeros(stack + (A.shape[-2], B.shape[-1]), dtype=np.int64)
+    for s in range(A.shape[-1]):
+        out = t.add[out, t.mul[A[..., s, None], B[..., s, None, :]]]
     return out.astype(np.int64, copy=False)
 
 

@@ -137,8 +137,12 @@ def brute_weight_enumerator(field, l, m, t, mode) -> SpectrumReport:
 def naive_weight_enumerator(field, l, m, t, mode) -> SpectrumReport:
     """Fully naive oracle: evaluate every form over the whole domain."""
     dom = make_domain(field, l, m, t, mode)
-    if field.q ** (l * m) * len(dom) > NAIVE_COST_BUDGET:
-        raise BudgetExceeded("naive enumeration cost exceeds the budget")
+    cost = field.q ** (l * m) * len(dom)
+    if cost > NAIVE_COST_BUDGET:
+        raise BudgetExceeded(
+            f"naive enumeration cost q^(l*m) * n = {cost} exceeds "
+            f"NAIVE_COST_BUDGET = {NAIVE_COST_BUDGET}"
+        )
     gen = generator_matrix(dom)
     block = max(1, NAIVE_CHUNK_BYTES // (8 * len(dom)))
     counts: Counter[int] = Counter()

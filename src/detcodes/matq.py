@@ -105,11 +105,17 @@ def is_canonical_rep(mats: np.ndarray) -> np.ndarray:
 
 def scan_matrices(field, l: int, m: int, t: int, mode: str):
     """Walk all q^(l*m) l x m matrices, lexicographic in their row-major
-    entry tuples, one ``_kernels._RANK_CHUNK`` at a time.
+    entry tuples, one block of at most ``_kernels._RANK_CHUNK`` at a time.
 
-    Yields (mats, ranks, keep) per chunk, where ``keep`` masks the points
-    of the rank-<=t variety (projective: nonzero and canonical).  Memory
-    is one chunk, whatever the size of the space.
+    Yields (mats, ranks, keep) per block, where ``keep`` masks the points
+    of the rank-<=t variety (projective: nonzero and canonical).  A block
+    is a run of whole prefixes P (the first l-1 rows), each followed by
+    all q^m last rows v; when q^m exceeds the chunk, it is one prefix with
+    a range of its last rows.  Ranks come from elimination, not from any
+    count: each prefix is brought to RREF R once per block, and
+    rank([P; v]) = rank(P) + [v not in rowspace(R)], where v is in the
+    row space iff v[pivots] @ R == v.  Memory is one block, whatever the
+    size of the space.
     """
     if mode not in ("affine", "projective"):
         raise BadParameters(f"mode must be affine or projective, got {mode!r}")
@@ -120,15 +126,34 @@ def scan_matrices(field, l: int, m: int, t: int, mode: str):
     q = field.q
     total = q ** (l * m)
     if total > MATRIX_SPACE_BUDGET:
-        raise BudgetExceeded(f"q^(l*m) = {total} exceeds the enumeration budget")
-    for lo in range(0, total, _kernels._RANK_CHUNK):
-        idx = np.arange(lo, min(lo + _kernels._RANK_CHUNK, total), dtype=np.int64)
-        mats = _base_q_digits(idx, q, l * m).reshape(len(idx), l, m)
-        ranks = rank_batch(field, mats)
-        keep = ranks <= t
-        if mode == "projective":
-            keep &= (ranks >= 1) & is_canonical_rep(mats)
-        yield mats, ranks, keep
+        raise BudgetExceeded(
+            f"q^(l*m) = {total} exceeds the enumeration budget "
+            f"MATRIX_SPACE_BUDGET = {MATRIX_SPACE_BUDGET}"
+        )
+    rows, prefixes = q**m, q ** ((l - 1) * m)
+    per = max(1, _kernels._RANK_CHUNK // rows)  # prefixes per block
+    step = min(rows, _kernels._RANK_CHUNK)  # last rows per block
+    for lo in range(0, prefixes, per):
+        idx = np.arange(lo, min(lo + per, prefixes), dtype=np.int64)
+        P = _base_q_digits(idx, q, (l - 1) * m).reshape(len(idx), l - 1, m)
+        R = P.copy()
+        prefix_ranks = row_reduce(field, R)
+        # a zero row of R adds nothing, whichever column it is read at
+        pivots = (R != 0).argmax(axis=2)
+        for vlo in range(0, rows, step):
+            V = _base_q_digits(np.arange(vlo, min(vlo + step, rows), dtype=np.int64), q, m)
+            spanned = (
+                _kernels._matmul(field, V[:, pivots].transpose(1, 0, 2), R) == V
+            ).all(axis=2)
+            ranks = (prefix_ranks[:, None] + ~spanned).reshape(-1)
+            mats = np.empty((len(P), len(V), l, m), dtype=np.int64)
+            mats[:, :, : l - 1] = P[:, None]
+            mats[:, :, l - 1] = V
+            mats = mats.reshape(-1, l, m)
+            keep = ranks <= t
+            if mode == "projective":
+                keep &= (ranks >= 1) & is_canonical_rep(mats)
+            yield mats, ranks, keep
 
 
 def enumerate_matrices(field, l: int, m: int, t: int, mode: str) -> np.ndarray:

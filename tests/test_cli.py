@@ -61,14 +61,21 @@ def test_spectrum_closed_path_walks_no_matrix_space(capsys, monkeypatch):
 
 
 def test_spectrum_both_paths_rank_the_space_once(capsys, monkeypatch):
-    ranked = []
-    real = matq.rank_batch
-    monkeypatch.setattr(matq, "rank_batch", lambda f, mats: ranked.append(len(mats)) or real(f, mats))
+    walks = []
+    real = matq.scan_matrices
+
+    def counted(*args):
+        walks.append(0)
+        for mats, ranks, keep in real(*args):
+            walks[-1] += len(mats)
+            yield mats, ranks, keep
+
+    monkeypatch.setattr(matq, "scan_matrices", counted)
     code, out, _ = run(
         ["spectrum", "--q", "3", "--l", "2", "--m", "3", "--t", "1", "--format", "json"], capsys
     )
     assert code == 0 and json.loads(out)["match"]
-    assert sum(ranked) == 3**6
+    assert walks == [3**6]
 
 
 def test_spectrum_affine(capsys):
@@ -354,6 +361,23 @@ def test_exit_code_budget(capsys):
     )
     assert code == 3
     assert "budget" in err.lower()
+
+
+def test_budget_errors_state_the_estimate_and_the_limit(capsys, monkeypatch):
+    code, _, err = run(
+        ["spectrum", "--q", "2", "--l", "6", "--m", "6", "--t", "3", "--path", "brute"], capsys
+    )
+    assert code == 3
+    assert f"q^(l*m) = {2**36} " in err
+    assert f"MATRIX_SPACE_BUDGET = {matq.MATRIX_SPACE_BUDGET}" in err
+    # verify, the naive oracle's only caller, reports its budget error as
+    # the reason of a SKIP line: 16 forms over 9 and 10 points.
+    monkeypatch.setattr(detcode, "NAIVE_COST_BUDGET", 100)
+    code, out, _ = run(["verify", "--q", "2", "--l", "2", "--m", "2", "--t", "1"], capsys)
+    assert code == 0
+    for mode, cost in (("projective", 144), ("affine", 160)):
+        assert (f"SKIP  rank-grouped vs naive enumerator ({mode})  (naive enumeration cost "
+                f"q^(l*m) * n = {cost} exceeds NAIVE_COST_BUDGET = 100)") in out
 
 
 def test_out_file_writing(tmp_path, capsys):

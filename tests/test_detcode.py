@@ -123,7 +123,16 @@ def test_brute_enumerator_keeps_no_domain(f3, monkeypatch):
     }
 
 
-@pytest.mark.parametrize("p,e,l,m", [(2, 1, 2, 3), (3, 1, 2, 2), (2, 2, 2, 2)])
+# With 7 matrices per chunk, every q^m here exceeds the chunk, so each
+# block is one prefix (first row) with a 7-row slice of its q^m last rows.
+BLOCKS_OF_7 = {
+    (2, 1, 2, 3): [7, 1] * 8,
+    (3, 1, 2, 2): [7, 2] * 9,
+    (2, 2, 2, 2): [7, 7, 2] * 16,
+}
+
+
+@pytest.mark.parametrize("p,e,l,m", list(BLOCKS_OF_7))
 @pytest.mark.parametrize("mode", ["affine", "projective"])
 def test_walk_agrees_across_chunk_boundaries(p, e, l, m, mode, monkeypatch):
     f = make_field(p, e)
@@ -132,7 +141,7 @@ def test_walk_agrees_across_chunk_boundaries(p, e, l, m, mode, monkeypatch):
                      detcode.rank_trace_counts(f, l, m, t, mode)) for t in ts}
     monkeypatch.setattr(_kernels, "_RANK_CHUNK", 7)
     chunks = [len(mats) for mats, _, _ in matq.scan_matrices(f, l, m, l, mode)]
-    assert chunks == [7] * (f.q ** (l * m) // 7) + [f.q ** (l * m) % 7]
+    assert chunks == BLOCKS_OF_7[p, e, l, m]
     for t in ts:
         pts, (rank_counts, trace_counts) = one_chunk[t]
         assert np.array_equal(matq.enumerate_matrices(f, l, m, t, mode), pts)
@@ -141,14 +150,21 @@ def test_walk_agrees_across_chunk_boundaries(p, e, l, m, mode, monkeypatch):
 
 
 def test_domain_budget_stops_the_walk_early(f2, monkeypatch):
-    monkeypatch.setattr(_kernels, "_RANK_CHUNK", 7)
+    # 8 matrices per chunk: each block is one first row with all 8 last rows.
+    monkeypatch.setattr(_kernels, "_RANK_CHUNK", 8)
     monkeypatch.setattr(matq, "DOMAIN_BUDGET", 10)
-    ranked = []
-    real = matq.rank_batch
-    monkeypatch.setattr(matq, "rank_batch", lambda f, mats: ranked.append(len(mats)) or real(f, mats))
+    blocks = []
+    real = matq.scan_matrices
+
+    def counted(*args):
+        for mats, ranks, keep in real(*args):
+            blocks.append(len(mats))
+            yield mats, ranks, keep
+
+    monkeypatch.setattr(matq, "scan_matrices", counted)
     with pytest.raises(BudgetExceeded):
         matq.enumerate_matrices(f2, 2, 3, 2, "affine")
-    assert ranked == [7, 7]  # 14 of 64 points kept when the budget stopped it
+    assert blocks == [8, 8]  # 16 of 64 points kept when the budget stopped it
 
 
 def test_brute_enumerator_memory_is_one_chunk(f2, monkeypatch):

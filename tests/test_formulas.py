@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detcodes import counting, detcode, formulas, gf, matq
 from detcodes._kernels import rank_batch
@@ -131,6 +133,32 @@ def test_closed_vs_brute_enumerator(mode):
                     closed = formulas.closed_weight_enumerator(t, l, m, q, mode)
                     brute = detcode.brute_weight_enumerator(field, l, m, t, mode)
                     assert closed.as_dict() == brute.as_dict(), (q, l, m, t, mode)
+
+
+# Every (q, l, m) whose whole space is at most 2^16 matrices.
+RANDOM_SPACES = [
+    (q, l, m)
+    for q in (2, 3, 4, 5, 7, 8, 9)
+    for l in range(1, 5)
+    for m in range(l, 17)
+    if q ** (l * m) <= 1 << 16
+]
+
+
+@settings(max_examples=25, deadline=5000, database=None)
+@given(st.sampled_from(RANDOM_SPACES))
+def test_closed_vs_brute_on_random_spaces(space):
+    q, l, m = space
+    field = _field_for(q)
+    for mode in ("affine", "projective"):
+        for t in range(1, l + 1):
+            closed = formulas.closed_weight_enumerator(t, l, m, q, mode)
+            brute = detcode.brute_weight_enumerator(field, l, m, t, mode)
+            assert closed.pairs == brute.pairs, (q, l, m, t, mode)
+    _, trace_counts = detcode.rank_trace_counts(field, l, m, l, "affine")
+    for t in range(l + 1):
+        for r in range(l + 1):
+            assert trace_counts[t, r] == formulas.delsarte_N(t, r, l, m, q), (q, l, m, t, r)
 
 
 def test_closed_enumerator_examples():

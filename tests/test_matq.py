@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detcodes import counting, make_field
+from detcodes import _kernels, counting, make_field
 from detcodes import matq
 from detcodes._kernels import gf_matmul
 from detcodes.errors import BadParameters, BudgetExceeded, EmptyVariety, IndexOutOfRange
@@ -201,6 +201,70 @@ def test_enumerate_matrices_projective_reps_canonical(f3):
     # lex order of entry tuples
     keys = [tuple(row) for row in flat]
     assert keys == sorted(keys)
+
+
+# Each field's spaces with l = 1, l = m, l < m and l = 3, as far as the
+# scalar oracle can rank every matrix of them in a test.
+WALK_SPACES = [
+    (p, e, l, m)
+    for p, e in [(2, 1), (3, 1), (2, 2), (7, 1), (2, 3), (3, 2), (11, 1)]
+    for l, m in [(1, 1), (1, 3), (2, 2), (2, 3), (3, 3)]
+    if (p**e) ** (l * m) <= 20_000
+]
+
+
+def _walk(field, l, m):
+    blocks = list(matq.scan_matrices(field, l, m, l, "affine"))
+    sizes = [len(mats) for mats, _, _ in blocks]
+    mats = np.concatenate([mats for mats, _, _ in blocks])
+    return sizes, mats, np.concatenate([ranks for _, ranks, _ in blocks])
+
+
+def _expected_walk(field, l, m):
+    space = matq._base_q_digits(np.arange(field.q ** (l * m)), field.q, l * m)
+    return space.reshape(-1, l, m)
+
+
+@pytest.mark.parametrize("p,e,l,m", WALK_SPACES)
+def test_walk_ranks_and_order_match_oracles(p, e, l, m, monkeypatch):
+    f = make_field(p, e)
+    space = _expected_walk(f, l, m)
+    scalar = [scalar_rank(f, M) for M in space]
+    assert _kernels.rank_batch(f, space).tolist() == scalar
+    # 7 and q^m - 1 split each prefix's last rows over blocks; the default
+    # chunk packs whole prefixes into a block.
+    for chunk in {7, f.q**m - 1, _kernels._RANK_CHUNK}:
+        monkeypatch.setattr(_kernels, "_RANK_CHUNK", chunk)
+        sizes, mats, ranks = _walk(f, l, m)
+        assert max(sizes) <= chunk and sum(sizes) == f.q ** (l * m)
+        assert np.array_equal(mats, space)
+        assert ranks.tolist() == scalar
+
+
+SMALL_WALK_SPACES = [
+    (p, e, l, m)
+    for p, e in [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2)]
+    for l in range(1, 4)
+    for m in range(l, 6)
+    if (p**e) ** (l * m) <= 4096
+]
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.data())
+def test_walk_ranks_match_rank_batch_on_random_chunks(data):
+    p, e, l, m = data.draw(st.sampled_from(SMALL_WALK_SPACES))
+    f = make_field(p, e)
+    chunk = data.draw(st.integers(1, f.q ** (l * m)))
+    space = _expected_walk(f, l, m)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_RANK_CHUNK", chunk)
+        sizes, mats, ranks = _walk(f, l, m)
+    assert max(sizes) <= chunk
+    assert np.array_equal(mats, space)
+    assert np.array_equal(ranks, _kernels.rank_batch(f, space))
+    sample = data.draw(st.lists(st.integers(0, len(space) - 1), max_size=20))
+    assert [int(ranks[i]) for i in sample] == [scalar_rank(f, space[i]) for i in sample]
 
 
 def test_enumerate_subspaces_counts(f2, f3):

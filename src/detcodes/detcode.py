@@ -62,11 +62,12 @@ def _trace_nonzero(field, mats: np.ndarray) -> np.ndarray:
     """(B, l+1) mask of tau_r(M) != 0 for r = 0..l over a (B, l, m) stack,
     where the partial trace tau_r sums the first r diagonal entries."""
     B, l, _ = mats.shape
-    add_t = field.tables.add
+    add = field.tables.add if field.e > 1 else None  # prime fields need no table
     acc = np.zeros(B, dtype=np.int64)
     out = np.zeros((B, l + 1), dtype=bool)
     for r in range(1, l + 1):
-        acc = add_t[acc, mats[:, r - 1, r - 1]]
+        d = mats[:, r - 1, r - 1]
+        acc = (acc + d) % field.p if add is None else add[acc, d]
         out[:, r] = acc != 0
     return out
 
@@ -167,6 +168,8 @@ def support_weight(dom: EvaluationDomain, basis, method: str = "both") -> int:
         raise ShapeMismatch("basis must live in the form space of the domain")
     if r == 0:
         raise BadParameters("support weight of the zero subcode is undefined here")
+    if method not in ("average", "union", "both"):
+        raise BadParameters(f"method must be average, union or both, got {method!r}")
     q = dom.field.q
     results = {}
     if method in ("average", "both"):
@@ -185,17 +188,17 @@ def support_weight(dom: EvaluationDomain, basis, method: str = "both") -> int:
     return results["average" if method != "union" else "union"]
 
 
-def _subspace_supports(dom: EvaluationDomain, batch: np.ndarray) -> np.ndarray:
-    """Support weights of a stack of subcode bases, via rank grouping."""
-    r = batch.shape[1]
+def _subspace_supports(dom: EvaluationDomain, r: int):
+    """Yield the support weights of every r-dimensional subcode, one stack
+    at a time, via rank grouping."""
     q = dom.field.q
     wt = np.array(weight_table(dom), dtype=np.int64)
-    sums = wt[matq.span_ranks(dom.field, batch, dom.l, dom.m)].sum(axis=1)
     denom = q**r - q ** (r - 1)
-    rem = sums % denom
-    if rem.any():
-        raise AssertionError("support-weight sum not divisible; implementation bug")
-    return sums // denom
+    for _, ranks in matq.span_rank_batches(dom.field, dom.l, dom.m, r):
+        sums = wt[ranks].sum(axis=1)
+        if (sums % denom).any():
+            raise AssertionError("support-weight sum not divisible; implementation bug")
+        yield sums // denom
 
 
 def brute_ghw(field, l, m, t, mode, r, prune: bool = True) -> int:
@@ -209,8 +212,7 @@ def brute_ghw(field, l, m, t, mode, r, prune: bool = True) -> int:
     d1 = min(wt[1:])
     floor = griesmer_wei(d1, r, field.q)
     best = None
-    for batch in matq.subspace_batches(field, l * m, r):
-        supports = _subspace_supports(dom, batch)
+    for supports in _subspace_supports(dom, r):
         lo = int(supports.min())
         if best is None or lo < best:
             best = lo
@@ -225,8 +227,7 @@ def subcode_spectrum(field, l, m, t, mode, r) -> dict[int, int]:
         raise BadParameters(f"subcode dimension r={r} not in [1, {l * m}]")
     dom = make_domain(field, l, m, t, mode)
     counts: Counter[int] = Counter()
-    for batch in matq.subspace_batches(field, l * m, r):
-        supports = _subspace_supports(dom, batch)
+    for supports in _subspace_supports(dom, r):
         for w, c in zip(*np.unique(supports, return_counts=True)):
             counts[int(w)] += int(c)
     return dict(sorted(counts.items()))

@@ -74,8 +74,7 @@ def normal_form(field, M):
 def outer(field, u, v) -> np.ndarray:
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
-    t = field.tables
-    return t.mul[u[:, None], v[None, :]].astype(np.int64)
+    return gf_matmul(field, u[:, None], v[None, :])
 
 
 def partial_trace(field, M, r: int) -> int:
@@ -97,10 +96,22 @@ def _base_q_digits(a: np.ndarray, q: int, width: int) -> np.ndarray:
 
 def is_canonical_rep(mats: np.ndarray) -> np.ndarray:
     """Mask of matrices whose first nonzero row-major entry equals 1."""
-    flat = mats.reshape(mats.shape[0], -1)
+    B, l, m = mats.shape
+    flat = mats.reshape(B, l * m)  # -1 cannot be inferred when B = 0
     nz = flat != 0
     first = nz.argmax(axis=1)
     return nz.any(axis=1) & (flat[np.arange(len(flat)), first] == 1)
+
+
+def _space_size(q: int, l: int, m: int) -> int:
+    """q^(l*m), checked against the walk's budget."""
+    total = q ** (l * m)
+    if total > MATRIX_SPACE_BUDGET:
+        raise BudgetExceeded(
+            f"q^(l*m) = {total} exceeds the enumeration budget "
+            f"MATRIX_SPACE_BUDGET = {MATRIX_SPACE_BUDGET}"
+        )
+    return total
 
 
 def scan_matrices(field, l: int, m: int, t: int, mode: str):
@@ -124,12 +135,7 @@ def scan_matrices(field, l: int, m: int, t: int, mode: str):
     if mode == "projective" and t == 0:
         raise EmptyVariety("the projective rank-0 locus is empty")
     q = field.q
-    total = q ** (l * m)
-    if total > MATRIX_SPACE_BUDGET:
-        raise BudgetExceeded(
-            f"q^(l*m) = {total} exceeds the enumeration budget "
-            f"MATRIX_SPACE_BUDGET = {MATRIX_SPACE_BUDGET}"
-        )
+    _space_size(q, l, m)
     rows, prefixes = q**m, q ** ((l - 1) * m)
     per = max(1, _kernels._RANK_CHUNK // rows)  # prefixes per block
     step = min(rows, _kernels._RANK_CHUNK)  # last rows per block
@@ -154,6 +160,23 @@ def scan_matrices(field, l: int, m: int, t: int, mode: str):
             if mode == "projective":
                 keep &= (ranks >= 1) & is_canonical_rep(mats)
             yield mats, ranks, keep
+
+
+def rank_table(field, l: int, m: int) -> np.ndarray:
+    """uint8 rank of every l x m matrix, indexed by the matrix's base-q
+    value: its row-major entries read as digits, the first most
+    significant.
+
+    The table is filled in place from one ``scan_matrices`` walk, whose
+    order is that of the values, so every rank comes from elimination.
+    It takes one byte per matrix, and the walk holds one block besides.
+    """
+    table = np.empty(_space_size(field.q, l, m), dtype=np.uint8)
+    lo = 0
+    for _, ranks, _ in scan_matrices(field, l, m, l, "affine"):
+        table[lo : lo + len(ranks)] = ranks
+        lo += len(ranks)
+    return table
 
 
 def enumerate_matrices(field, l: int, m: int, t: int, mode: str) -> np.ndarray:
@@ -229,10 +252,62 @@ def span_vectors(field, basis: np.ndarray) -> np.ndarray:
 
 def span_ranks(field, bases: np.ndarray, l: int, m: int) -> np.ndarray:
     """(S, q^r) ranks, as l x m matrices, of the elements spanned by each
-    basis of an (S, r, l*m) stack, in ``coeff_vectors`` order."""
+    basis of an (S, r, l*m) stack, in ``coeff_vectors`` order.
+
+    Every element is built and eliminated, so this serves single bases
+    whose span may lie in a space far past any ``rank_table``; searches
+    over many subspaces read ``span_rank_batches`` instead.
+    """
     S, r, _ = bases.shape
     elems = gf_matmul_batch(field, coeff_vectors(field, r), bases)
     return rank_batch(field, elems.reshape(-1, l, m)).reshape(S, field.q**r)
+
+
+def span_indices(field, bases: np.ndarray) -> np.ndarray:
+    """(S, q^r) base-q values of the elements spanned by each basis of an
+    (S, r, N) stack, in ``coeff_vectors`` order; for N = l*m these index
+    ``rank_table``.
+
+    Digit k of the elements of a span is C @ b_k, with C the coefficient
+    vectors and b_k column k of the basis, so it depends on b_k alone.  A
+    stack has at most q^r distinct columns: one product over those gives
+    every digit, and the values are accumulated a digit at a time, most
+    significant first.
+    """
+    S, r, N = bases.shape
+    q = field.q
+    C = coeff_vectors(field, r)
+    # a column's base-q value is its row of C
+    cols = bases.transpose(0, 2, 1) @ q ** np.arange(r - 1, -1, -1, dtype=np.int64)
+    uniq, inv = np.unique(cols, return_inverse=True)
+    inv = inv.reshape(S, N)
+    digits = gf_matmul(field, C[uniq], C.T)  # (distinct columns, q^r)
+    out = np.zeros((S, q**r), dtype=np.int64)
+    for k in range(N):
+        out *= q
+        out += digits[inv[:, k]]
+    return out
+
+
+def span_rank_batches(field, l: int, m: int, r: int):
+    """Yield (bases, ranks) over every r-dimensional subspace of the l x m
+    matrix space, in ``subspace_batches`` order: (S, r, l*m) RREF bases
+    and the (S, q^r) uint8 ranks of their span elements, in
+    ``coeff_vectors`` order.
+
+    Ranks are read from one ``rank_table`` built for the call, so a
+    space past ``MATRIX_SPACE_BUDGET`` raises the walk's budget error.
+    Each stack holds at most ``_kernels._RANK_CHUNK`` span elements (one
+    basis when q^r is larger).
+    """
+    table = None
+    per = max(1, _kernels._RANK_CHUNK // field.q**r)  # bases per stack
+    for batch in subspace_batches(field, l * m, r):
+        if table is None:  # after the subspace budget's check
+            table = rank_table(field, l, m)
+        for lo in range(0, len(batch), per):
+            bases = batch[lo : lo + per]
+            yield bases, table[span_indices(field, bases)]
 
 
 def format_matrix(M) -> str:

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matq
+from ._kernels import gf_matmul
 from .counting import rank1_bound
 from .errors import BudgetExceeded, EquationViolated, NotRankOne
 
@@ -46,9 +47,8 @@ def rank1_sum_check(field, u, a, x, v, b, y) -> bool:
     u, a, x, v, b, y = vecs
     if any(not w.any() for w in vecs):
         raise EquationViolated("all six vectors must be nonzero")
-    lhs = matq.outer(field, u, v)
-    t = field.tables
-    lhs = t.add[lhs, matq.outer(field, a, b)]
+    # u^T v + a^T b as one product [u^T a^T] @ [v; b]
+    lhs = gf_matmul(field, np.stack([u, a], axis=1), np.stack([v, b]))
     if not (lhs == matq.outer(field, x, y)).all():
         raise EquationViolated("u^T v + a^T b != x^T y")
     left = matq.rank(field, np.stack([u, a, x]))
@@ -117,12 +117,12 @@ def max_rank1_exhaustive(field, l: int, m: int, r: int) -> tuple[int, np.ndarray
     bound = rank1_bound(r, l, m, q)
     best = -1
     witness = None
-    for batch in matq.subspace_batches(field, l * m, r):
-        counts = (matq.span_ranks(field, batch, l, m) == 1).sum(axis=1)
+    for bases, ranks in matq.span_rank_batches(field, l, m, r):
+        counts = (ranks == 1).sum(axis=1)
         i = int(counts.argmax())
         if counts[i] > best:
             best = int(counts[i])
-            witness = batch[i].copy()
+            witness = bases[i].copy()
     assert best <= bound.max_rank1, "extremal count exceeds the proven bound"
     if not bound.from_coset_argument:
         assert best == q**r - 1, "for r <= m the constant-rank-1 maximum is exact"

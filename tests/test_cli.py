@@ -233,6 +233,23 @@ def test_genmat_large_fields(capsys):
     assert "budget" in err.lower()
 
 
+@pytest.mark.parametrize(
+    "argv,last",
+    [
+        (["spectrum", "--path", "both", "--l", "1", "--m", "2"], "MATCH"),
+        (["verify", "--l", "1", "--m", "1"], "OK: 12/12 checks passed, 0 skipped"),
+        (["verify", "--l", "1", "--m", "2"], "OK: 10/10 checks passed, 2 skipped"),
+        (["ghw", "--l", "1", "--m", "2"], None),
+    ],
+)
+def test_prime_field_above_the_table_limit(argv, last, capsys):
+    # p = 1031 > gf.TABLE_MAX_Q: prime fields reduce mod p and need no tables
+    code, out, err = run(argv + ["--q", "1031", "--t", "1"], capsys)
+    assert code == 0, err
+    if last is not None:
+        assert out.splitlines()[-1] == last
+
+
 # ---------------------------------------------------------------------------
 # rank1max
 # ---------------------------------------------------------------------------
@@ -250,6 +267,14 @@ def test_rank1max(capsys):
     assert payload["bound"] == "5"
     assert payload["bound_is_coset_argument"] is True
     assert payload["witness"] == [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
+
+
+def test_rank1max_past_the_walk_budget(capsys):
+    # [4, 3]_89 = 712,890 subspaces fit SUBSPACE_BUDGET; 89^4 matrices do not
+    code, _, err = run(["rank1max", "--q", "89", "--l", "2", "--m", "2", "--r", "3"], capsys)
+    assert code == 3
+    assert f"q^(l*m) = {89**4} exceeds" in err
+    assert f"MATRIX_SPACE_BUDGET = {matq.MATRIX_SPACE_BUDGET}" in err
 
 
 # ---------------------------------------------------------------------------

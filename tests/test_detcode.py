@@ -1,11 +1,12 @@
 import itertools
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from detcodes import _kernels, counting, detcode, make_field, matq
-from detcodes.errors import BudgetExceeded, ShapeMismatch
+from detcodes import _kernels, counting, detcode, make_field, matq, rank1
+from detcodes.errors import BadParameters, BudgetExceeded, ShapeMismatch
 
 from conftest import naive_codeword
 
@@ -218,6 +219,12 @@ def test_support_weight_routes_agree_on_all_small_subspaces(q, l, m, t, mode):
             assert avg == union
 
 
+def test_support_weight_rejects_an_unknown_method(f2):
+    dom = detcode.make_domain(f2, 2, 2, 1, "projective")
+    with pytest.raises(BadParameters, match="bogus"):
+        detcode.support_weight(dom, np.eye(4, dtype=np.int64)[:1], method="bogus")
+
+
 def test_brute_ghw_flagship(f2):
     got = [detcode.brute_ghw(f2, 2, 2, 1, "projective", r) for r in (1, 2, 3, 4)]
     assert got == [4, 6, 8, 9]
@@ -266,3 +273,80 @@ def test_export_generator_format(f2):
     assert len(lines) == 5
     g = matq.parse_matrix("\n".join(lines[1:]))
     assert (g == detcode.generator_matrix(dom)).all()
+
+
+def _searches(field, l, m, r):
+    """brute_ghw (both modes, pruned and not), subcode_spectrum (both
+    modes) and max_rank1_exhaustive with its witness, as the library
+    computes them."""
+    out = {}
+    for mode in ("projective", "affine"):
+        out["ghw", mode] = [detcode.brute_ghw(field, l, m, 1, mode, r, prune=p) for p in (True, False)]
+        out["spectrum", mode] = detcode.subcode_spectrum(field, l, m, 1, mode, r)
+    best, witness = rank1.max_rank1_exhaustive(field, l, m, r)
+    out["rank1"] = best, witness.tolist()
+    return out
+
+
+def _eliminated_searches(field, l, m, r):
+    """The same searches, every span element built and eliminated by
+    ``span_ranks`` instead of read from the rank table."""
+    q = field.q
+    wts = {mode: np.array(detcode.weight_table(detcode.make_domain(field, l, m, 1, mode)))
+           for mode in ("projective", "affine")}
+    hists = {mode: Counter() for mode in wts}
+    best, witness = -1, None
+    for batch in matq.subspace_batches(field, l * m, r):
+        ranks = matq.span_ranks(field, batch, l, m)
+        for mode, wt in wts.items():
+            hists[mode].update((wt[ranks].sum(axis=1) // (q**r - q ** (r - 1))).tolist())
+        counts = (ranks == 1).sum(axis=1)
+        if counts.max() > best:
+            best, witness = int(counts.max()), batch[int(counts.argmax())].tolist()
+    out = {}
+    for mode, hist in hists.items():
+        out["ghw", mode] = [min(hist)] * 2
+        out["spectrum", mode] = dict(sorted(hist.items()))
+    out["rank1"] = best, witness
+    return out
+
+
+@pytest.mark.parametrize(
+    "p,e,l,m,r",
+    [(2, 1, 2, 3, r) for r in range(1, 7)]
+    + [(3, 1, 2, 2, r) for r in range(1, 5)]
+    + [(2, 2, 2, 2, r) for r in range(1, 5)]
+    + [(2, 1, 2, 4, r) for r in range(5, 9)],
+)
+def test_searches_match_the_elimination_path(p, e, l, m, r):
+    f = make_field(p, e)
+    assert _searches(f, l, m, r) == _eliminated_searches(f, l, m, r)
+
+
+def test_searches_read_at_most_one_chunk_of_span_elements(f2, monkeypatch):
+    expected = {r: _searches(f2, 2, 3, r) for r in (1, 3, 4)}
+    sizes = []
+    span_indices = matq.span_indices
+
+    def spy(field, bases):
+        sizes.append(bases.shape[0] * field.q ** bases.shape[1])
+        return span_indices(field, bases)
+
+    monkeypatch.setattr(matq, "span_indices", spy)
+    monkeypatch.setattr(_kernels, "_RANK_CHUNK", 20)
+    for r, want in expected.items():
+        sizes.clear()
+        assert _searches(f2, 2, 3, r) == want
+        assert sizes and max(sizes) <= 20
+
+
+def test_search_past_the_walk_budget_names_it(f2, monkeypatch):
+    # [8, 8]_2 = 1 subspace fits SUBSPACE_BUDGET, but its table is the walk
+    monkeypatch.setattr(matq, "MATRIX_SPACE_BUDGET", 2**8 - 1)
+    with pytest.raises(BudgetExceeded, match="MATRIX_SPACE_BUDGET = 255"):
+        rank1.max_rank1_exhaustive(f2, 2, 4, 8)
+    # the subspace budget is checked first, before any walk
+    monkeypatch.setattr(matq, "SUBSPACE_BUDGET", 10)
+    monkeypatch.setattr(matq, "rank_table", None)
+    with pytest.raises(BudgetExceeded, match="exceed the budget 10"):
+        rank1.max_rank1_exhaustive(f2, 2, 4, 7)

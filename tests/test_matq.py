@@ -160,6 +160,14 @@ def test_outer_rank_one_exhaustive(q):
                 assert matq.rank(f, M) == expected
 
 
+def test_outer_above_the_table_limit():
+    # p = 1031 is past gf.TABLE_MAX_Q; the product is reduced mod p
+    f = make_field(1031)
+    M = matq.outer(f, [1, 1030, 0], [2, 1030])
+    assert M.tolist() == [[2, 1030], [1029, 1], [0, 0]]
+    assert matq.rank(f, M) == 1
+
+
 def test_partial_trace(f2, f3):
     assert matq.partial_trace(f2, [[1, 0], [0, 1]], 2) == 0
     assert matq.partial_trace(f3, [[1, 0], [0, 1]], 2) == 2
@@ -191,6 +199,10 @@ def test_enumerate_matrices_counts_match_closed_forms(q):
                 if t >= 1:
                     proj = matq.enumerate_matrices(f, l, m, t, "projective")
                     assert len(proj) == sum(counting.mu_hat(l, m, j, q) for j in range(1, t + 1))
+
+
+def test_is_canonical_rep_of_an_empty_stack():
+    assert matq.is_canonical_rep(np.zeros((0, 2, 3), dtype=np.int64)).shape == (0,)
 
 
 def test_enumerate_matrices_projective_reps_canonical(f3):
@@ -265,6 +277,89 @@ def test_walk_ranks_match_rank_batch_on_random_chunks(data):
     assert np.array_equal(ranks, _kernels.rank_batch(f, space))
     sample = data.draw(st.lists(st.integers(0, len(space) - 1), max_size=20))
     assert [int(ranks[i]) for i in sample] == [scalar_rank(f, space[i]) for i in sample]
+
+
+# l = 1 and l = m over prime and extension fields, as far as the scalar
+# oracle can rank every matrix of the space in a test.
+TABLE_SPACES = [
+    (p, e, l, m)
+    for p, e in [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)]
+    for l, m in [(1, 1), (1, 2), (1, 3), (2, 2), (3, 3)]
+    if (p**e) ** (l * m) <= 6561
+]
+
+
+@pytest.mark.parametrize("p,e,l,m", TABLE_SPACES)
+def test_rank_table_matches_oracles(p, e, l, m, monkeypatch):
+    f = make_field(p, e)
+    space = _expected_walk(f, l, m)
+    expected = _kernels.rank_batch(f, space)
+    assert expected.tolist() == [scalar_rank(f, M) for M in space]
+    # 7 fills the table over many walk blocks, the default in one or a few
+    for chunk in (7, _kernels._RANK_CHUNK):
+        monkeypatch.setattr(_kernels, "_RANK_CHUNK", chunk)
+        table = matq.rank_table(f, l, m)
+        assert table.dtype == np.uint8 and table.shape == (f.q ** (l * m),)
+        assert np.array_equal(table, expected)
+
+
+def test_rank_table_budget_is_the_walks(f2, monkeypatch):
+    monkeypatch.setattr(matq, "MATRIX_SPACE_BUDGET", 255)
+    with pytest.raises(BudgetExceeded, match="MATRIX_SPACE_BUDGET = 255"):
+        matq.rank_table(f2, 2, 4)
+
+
+def _span_values(field, basis):
+    """Reference: the span's elements built one by one, read as base-q."""
+    N = basis.shape[1]
+    powers = field.q ** np.arange(N - 1, -1, -1, dtype=np.int64)
+    return matq.span_vectors(field, basis) @ powers
+
+
+def _assert_span_indices(field, bases):
+    got = matq.span_indices(field, bases)
+    assert got.shape == (len(bases), field.q ** bases.shape[1])
+    for basis, row in zip(bases, got):
+        assert row.tolist() == _span_values(field, basis).tolist()
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
+def test_span_indices_match_span_vectors(p, e):
+    f = make_field(p, e)
+    rng = np.random.default_rng(17 * p + e)
+    N = 4
+    for r in range(N + 1):  # r = 0 spans the zero element alone
+        for S in (1, 5):
+            bases = rng.integers(0, f.q, size=(S, r, N), dtype=np.int64)
+            _assert_span_indices(f, bases)
+        # repeated columns, within a basis and across the stack
+        bases = rng.integers(0, f.q, size=(3, r, N), dtype=np.int64)
+        bases[:, :, 2] = bases[:, :, 0]
+        bases[1:, :, 1] = bases[0, :, 1]
+        _assert_span_indices(f, bases)
+    assert matq.span_indices(f, np.zeros((2, 0, N), dtype=np.int64)).tolist() == [[0], [0]]
+
+
+@pytest.mark.parametrize("q,N,r", [(2, 4, 2), (3, 3, 2), (4, 3, 3), (2, 5, 5)])
+def test_span_indices_exhaustive_subspace_stacks(q, N, r):
+    f = make_field(2, 2) if q == 4 else make_field(q)
+    for batch in matq.subspace_batches(f, N, r):
+        _assert_span_indices(f, batch)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.data())
+def test_span_indices_match_span_vectors_on_random_stacks(data):
+    p, e = data.draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]))
+    f = make_field(p, e)
+    N = data.draw(st.integers(1, 5))
+    r = data.draw(st.integers(0, min(N, 3)))
+    S = data.draw(st.integers(1, 6))
+    entries = st.integers(0, f.q - 1)
+    bases = np.array(
+        data.draw(st.lists(entries, min_size=S * r * N, max_size=S * r * N)), dtype=np.int64
+    ).reshape(S, r, N)
+    _assert_span_indices(f, bases)
 
 
 def test_enumerate_subspaces_counts(f2, f3):

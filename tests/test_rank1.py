@@ -78,6 +78,14 @@ def test_rank1_sum_check_rejects_unequal_sides(f2):
         rank1.rank1_sum_check(f2, [0, 0], [0, 1], [1, 0], [1, 0], [0, 1], [1, 0])
 
 
+def test_rank1_sum_check_above_the_table_limit():
+    # p = 1031 is past gf.TABLE_MAX_Q: e1^T e1 + e1^T (p-1)e2 = e1^T (1, p-1)
+    f = gf.make_field(1031)
+    assert rank1.rank1_sum_check(f, [1, 0], [1, 0], [1, 0], [1, 0], [0, 1030], [1, 1030])
+    with pytest.raises(EquationViolated):
+        rank1.rank1_sum_check(f, [1, 0], [1, 0], [1, 0], [1, 0], [0, 1030], [1, 1])
+
+
 def test_rank1_sum_dichotomy_exhaustive_gf2():
     # Sweep every pair of rank-1 2x2 matrices over GF(2) whose sum is also
     # rank 1; the dichotomy must hold in every single case.

@@ -3,22 +3,22 @@
 One batched in-place reduction to reduced row echelon form serves every
 field and every caller: ``rank_batch`` keeps only its ranks, while
 ``matq.rref``, ``matq.normal_form`` and the walk of the matrix space in
-``matq.scan_matrices`` read the reduced matrices; the walk then tests
-last rows for row-space membership with the one product, ``_matmul``,
-which also serves ``gf_matmul`` and ``gf_matmul_batch``.  Only
-its row arithmetic depends on the field: prime fields reduce integer
-arithmetic mod p, so any p up to ``gf.MAX_Q`` works without tables;
-extension fields look sums and products up in ``Field.tables``, so they
-are limited to ``gf.TABLE_MAX_Q``.  The arithmetic is written inline for
-each case rather than through field callables, which lets numpy reuse
-the batch-sized temporaries in place.
+``matq.rank_table`` read the reduced matrices; the walk then tests last
+rows for row-space membership with the one product, ``_matmul``, which
+also serves ``gf_matmul``.  Only its row arithmetic depends on the
+field: prime fields reduce integer arithmetic mod p, so any p up to
+``gf.MAX_Q`` works without tables; extension fields look sums and
+products up in ``Field.tables``, so they are limited to
+``gf.TABLE_MAX_Q``.  The arithmetic is written inline for each case
+rather than through field callables, which lets numpy reuse the
+batch-sized temporaries in place.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_RANK_CHUNK = 1 << 16  # matrices per rank_batch elimination, and per block of matq.scan_matrices
+_RANK_CHUNK = 1 << 16  # per rank_batch elimination, matq.rank_table block and domain chunk
 
 
 def row_reduce(field, w: np.ndarray) -> np.ndarray:
@@ -69,7 +69,9 @@ def _matmul(field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=np.int64)
     B = np.asarray(B, dtype=np.int64)
     if field.e == 1:
-        return (A @ B) % field.p
+        out = A @ B
+        out %= field.p  # in place: the naive oracle's products are large
+        return out
     t = field.tables
     stack = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
     out = np.zeros(stack + (A.shape[-2], B.shape[-1]), dtype=np.int64)
@@ -79,10 +81,5 @@ def _matmul(field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def gf_matmul(field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Product of A (x, k) and B (k, y) over GF(q)."""
-    return _matmul(field, A, B)
-
-
-def gf_matmul_batch(field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Product of A (x, k) with a stack B (S, k, y) over GF(q)."""
+    """Product of A (x, k) and B (k, y), or a stack B (S, k, y), over GF(q)."""
     return _matmul(field, A, B)

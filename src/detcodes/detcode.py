@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import matq
+from . import _kernels, matq
 from ._kernels import gf_matmul
 from .counting import _exact_div
 from .errors import BadParameters, BudgetExceeded, ShapeMismatch
@@ -106,18 +106,24 @@ def _spectrum_from(mode, weight_counts: dict[int, int]) -> SpectrumReport:
 
 
 def rank_trace_counts(field, l, m, t, mode) -> tuple[np.ndarray, np.ndarray]:
-    """(rank_counts, trace_counts), counted in one walk of the matrix space.
+    """(rank_counts, trace_counts), read off one ``matq.rank_table``.
 
     ``rank_counts[j]`` is the number of l x m matrices of rank j, and
     ``trace_counts[j, r]`` the number of points of the rank-<=t domain
-    that have rank j and tau_r != 0, for r = 0..l.
+    that have rank j and tau_r != 0, for r = 0..l.  Both are counted one
+    chunk at a time, so besides the table no array spans the space.
     """
+    table = matq._variety_table(field, l, m, t, mode)
+    chunk = _kernels._RANK_CHUNK
     rank_counts = np.zeros(l + 1, dtype=np.int64)
-    trace_counts = np.zeros((l + 1, l + 1), dtype=np.int64)
-    for mats, ranks, keep in matq.scan_matrices(field, l, m, t, mode):
-        rank_counts += np.bincount(ranks, minlength=l + 1)
-        np.add.at(trace_counts, ranks[keep], _trace_nonzero(field, mats[keep]))
-    return rank_counts, trace_counts
+    for lo in range(0, len(table), chunk):
+        rank_counts += np.bincount(table[lo : lo + chunk], minlength=l + 1)
+    trace_counts = np.zeros((l + 1) ** 2, dtype=np.int64)
+    cells = np.arange(l + 1)  # cell (j, r) is j * (l + 1) + r
+    for pts, ranks in matq._domain_chunks(table, field.q, l, m, t, mode):
+        cell = ranks.astype(np.int64)[:, None] * (l + 1) + cells
+        trace_counts += np.bincount(cell[_trace_nonzero(field, pts)], minlength=(l + 1) ** 2)
+    return rank_counts, trace_counts.reshape(l + 1, l + 1)
 
 
 def brute_weight_enumerator(field, l, m, t, mode) -> SpectrumReport:
@@ -145,13 +151,14 @@ def naive_weight_enumerator(field, l, m, t, mode) -> SpectrumReport:
             f"NAIVE_COST_BUDGET = {NAIVE_COST_BUDGET}"
         )
     gen = generator_matrix(dom)
+    total = field.q ** (l * m)
     block = max(1, NAIVE_CHUNK_BYTES // (8 * len(dom)))
     counts: Counter[int] = Counter()
-    for mats, _, _ in matq.scan_matrices(field, l, m, l, "affine"):
-        forms = mats.reshape(len(mats), l * m)
-        for lo in range(0, len(forms), block):
-            words = gf_matmul(field, forms[lo : lo + block], gen)
-            counts.update(np.count_nonzero(words, axis=1).tolist())
+    for lo in range(0, total, block):
+        values = np.arange(lo, min(lo + block, total), dtype=np.int64)
+        forms = matq._base_q_digits(values, field.q, l * m)
+        # unnamed, the last block's codewords are freed before the next product
+        counts.update(np.count_nonzero(gf_matmul(field, forms, gen), axis=1).tolist())
     return _spectrum_from(mode, counts)
 
 
@@ -175,7 +182,7 @@ def support_weight(dom: EvaluationDomain, basis, method: str = "both") -> int:
     if method in ("average", "both"):
         ranks = matq.span_ranks(dom.field, basis[None], dom.l, dom.m)[0]
         wt = weight_table(dom)
-        total = sum(wt[int(rk)] for rk in ranks)
+        total = int(np.asarray(wt)[ranks].sum())
         results["average"] = _exact_div(total, q**r - q ** (r - 1))
     if method in ("union", "both"):
         words = gf_matmul(dom.field, basis, generator_matrix(dom))

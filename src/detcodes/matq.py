@@ -13,7 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from . import _kernels, counting
-from ._kernels import gf_matmul, gf_matmul_batch, rank_batch, row_reduce
+from ._kernels import gf_matmul, rank_batch, row_reduce
 from .errors import (
     BadParameters,
     BudgetExceeded,
@@ -23,7 +23,7 @@ from .errors import (
 )
 
 # Hard ceilings for exhaustive enumeration (desk-scale verifier).
-MATRIX_SPACE_BUDGET = 50_000_000  # q^(l*m) matrices walked by scan_matrices
+MATRIX_SPACE_BUDGET = 50_000_000  # q^(l*m) matrices walked, one byte each, by rank_table
 DOMAIN_BUDGET = 10_000_000  # points kept in an evaluation domain
 SUBSPACE_BUDGET = 10_000_000  # subspaces visited
 _SUBSPACE_BATCH = 4096  # bases per stack yielded by subspace_batches
@@ -90,17 +90,8 @@ def partial_trace(field, M, r: int) -> int:
 def _base_q_digits(a: np.ndarray, q: int, width: int) -> np.ndarray:
     """(len(a), width) base-q digits of a, most significant first."""
     d = a[:, None] // q ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    d %= q  # in place: the digits of a whole matrix space are large
+    d %= q  # in place: no second (len(a), width) array
     return d
-
-
-def is_canonical_rep(mats: np.ndarray) -> np.ndarray:
-    """Mask of matrices whose first nonzero row-major entry equals 1."""
-    B, l, m = mats.shape
-    flat = mats.reshape(B, l * m)  # -1 cannot be inferred when B = 0
-    nz = flat != 0
-    first = nz.argmax(axis=1)
-    return nz.any(axis=1) & (flat[np.arange(len(flat)), first] == 1)
 
 
 def _space_size(q: int, l: int, m: int) -> int:
@@ -114,35 +105,31 @@ def _space_size(q: int, l: int, m: int) -> int:
     return total
 
 
-def scan_matrices(field, l: int, m: int, t: int, mode: str):
-    """Walk all q^(l*m) l x m matrices, lexicographic in their row-major
-    entry tuples, one block of at most ``_kernels._RANK_CHUNK`` at a time.
+def rank_table(field, l: int, m: int) -> np.ndarray:
+    """uint8 rank of every l x m matrix, indexed by the matrix's base-q
+    value: its row-major entries read as digits, the first most
+    significant.
 
-    Yields (mats, ranks, keep) per block, where ``keep`` masks the points
-    of the rank-<=t variety (projective: nonzero and canonical).  A block
-    is a run of whole prefixes P (the first l-1 rows), each followed by
-    all q^m last rows v; when q^m exceeds the chunk, it is one prefix with
-    a range of its last rows.  Ranks come from elimination, not from any
-    count: each prefix is brought to RREF R once per block, and
-    rank([P; v]) = rank(P) + [v not in rowspace(R)], where v is in the
-    row space iff v[pivots] @ R == v.  Memory is one block, whatever the
-    size of the space.
+    This is the one walk of the matrix space.  The value of a matrix is
+    prefix * q^m + last row, with the prefix its first l-1 rows, so the
+    table is a (prefixes, q^m) grid, filled one block of at most
+    ``_kernels._RANK_CHUNK`` entries at a time: a run of whole prefixes,
+    or one prefix with a range of its last rows when q^m is larger.
+    Ranks come from elimination, not from any count: each prefix is
+    brought to RREF R once per block, and rank([P; v]) = rank(P) +
+    [v not in rowspace(R)], where v is in the row space iff
+    v[pivots] @ R == v.  The table takes one byte per matrix.
     """
-    if mode not in ("affine", "projective"):
-        raise BadParameters(f"mode must be affine or projective, got {mode!r}")
-    if not 0 <= t <= l <= m:
-        raise BadParameters(f"need 0 <= t <= l <= m, got t={t}, l={l}, m={m}")
-    if mode == "projective" and t == 0:
-        raise EmptyVariety("the projective rank-0 locus is empty")
     q = field.q
-    _space_size(q, l, m)
+    table = np.empty(_space_size(q, l, m), dtype=np.uint8)
     rows, prefixes = q**m, q ** ((l - 1) * m)
+    grid = table.reshape(prefixes, rows)
     per = max(1, _kernels._RANK_CHUNK // rows)  # prefixes per block
     step = min(rows, _kernels._RANK_CHUNK)  # last rows per block
     for lo in range(0, prefixes, per):
-        idx = np.arange(lo, min(lo + per, prefixes), dtype=np.int64)
-        P = _base_q_digits(idx, q, (l - 1) * m).reshape(len(idx), l - 1, m)
-        R = P.copy()
+        hi = min(lo + per, prefixes)
+        R = _base_q_digits(np.arange(lo, hi, dtype=np.int64), q, (l - 1) * m)
+        R = R.reshape(hi - lo, l - 1, m)
         prefix_ranks = row_reduce(field, R)
         # a zero row of R adds nothing, whichever column it is read at
         pivots = (R != 0).argmax(axis=2)
@@ -151,32 +138,38 @@ def scan_matrices(field, l: int, m: int, t: int, mode: str):
             spanned = (
                 _kernels._matmul(field, V[:, pivots].transpose(1, 0, 2), R) == V
             ).all(axis=2)
-            ranks = (prefix_ranks[:, None] + ~spanned).reshape(-1)
-            mats = np.empty((len(P), len(V), l, m), dtype=np.int64)
-            mats[:, :, : l - 1] = P[:, None]
-            mats[:, :, l - 1] = V
-            mats = mats.reshape(-1, l, m)
-            keep = ranks <= t
-            if mode == "projective":
-                keep &= (ranks >= 1) & is_canonical_rep(mats)
-            yield mats, ranks, keep
-
-
-def rank_table(field, l: int, m: int) -> np.ndarray:
-    """uint8 rank of every l x m matrix, indexed by the matrix's base-q
-    value: its row-major entries read as digits, the first most
-    significant.
-
-    The table is filled in place from one ``scan_matrices`` walk, whose
-    order is that of the values, so every rank comes from elimination.
-    It takes one byte per matrix, and the walk holds one block besides.
-    """
-    table = np.empty(_space_size(field.q, l, m), dtype=np.uint8)
-    lo = 0
-    for _, ranks, _ in scan_matrices(field, l, m, l, "affine"):
-        table[lo : lo + len(ranks)] = ranks
-        lo += len(ranks)
+            grid[lo:hi, vlo : vlo + len(V)] = prefix_ranks[:, None] + ~spanned
     return table
+
+
+def _variety_table(field, l: int, m: int, t: int, mode: str) -> np.ndarray:
+    """``rank_table`` of the l x m space, once the rank-<=t variety's
+    parameters are checked."""
+    if mode not in ("affine", "projective"):
+        raise BadParameters(f"mode must be affine or projective, got {mode!r}")
+    if not 0 <= t <= l <= m:
+        raise BadParameters(f"need 0 <= t <= l <= m, got t={t}, l={l}, m={m}")
+    if mode == "projective" and t == 0:
+        raise EmptyVariety("the projective rank-0 locus is empty")
+    return rank_table(field, l, m)
+
+
+def _domain_chunks(table: np.ndarray, q: int, l: int, m: int, t: int, mode: str):
+    """Yield (points, ranks) of the rank-<=t variety of l x m matrices,
+    in increasing base-q value, reading at most ``_kernels._RANK_CHUNK``
+    table entries per chunk; points are built for kept values only.
+
+    Affine points are all the values of rank <= t.  A projective point is
+    represented by the multiple whose first nonzero entry is 1, so its
+    value has leading base-q digit 1: it lies in [q^k, 2 q^k) for some k.
+    """
+    ranges = [(0, len(table))] if mode == "affine" else [(q**k, 2 * q**k) for k in range(l * m)]
+    for lo, hi in ranges:
+        for clo in range(lo, hi, _kernels._RANK_CHUNK):
+            ranks = table[clo : min(clo + _kernels._RANK_CHUNK, hi)]
+            keep = ranks <= t
+            values = np.arange(clo, clo + len(ranks), dtype=np.int64)[keep]
+            yield _base_q_digits(values, q, l * m).reshape(-1, l, m), ranks[keep]
 
 
 def enumerate_matrices(field, l: int, m: int, t: int, mode: str) -> np.ndarray:
@@ -185,10 +178,11 @@ def enumerate_matrices(field, l: int, m: int, t: int, mode: str) -> np.ndarray:
     Projective representatives are scaled so the first nonzero row-major
     entry is 1.  Order is lexicographic in row-major entry tuples.
     """
+    table = _variety_table(field, l, m, t, mode)
     parts, kept = [], 0
-    for mats, _, keep in scan_matrices(field, l, m, t, mode):
-        parts.append(mats[keep])
-        kept += len(parts[-1])
+    for pts, _ in _domain_chunks(table, field.q, l, m, t, mode):
+        parts.append(pts)
+        kept += len(pts)
         if kept > DOMAIN_BUDGET:
             raise BudgetExceeded(f"domain exceeds its budget of {DOMAIN_BUDGET} points")
     return np.concatenate(parts)
@@ -259,7 +253,7 @@ def span_ranks(field, bases: np.ndarray, l: int, m: int) -> np.ndarray:
     over many subspaces read ``span_rank_batches`` instead.
     """
     S, r, _ = bases.shape
-    elems = gf_matmul_batch(field, coeff_vectors(field, r), bases)
+    elems = gf_matmul(field, coeff_vectors(field, r), bases)
     return rank_batch(field, elems.reshape(-1, l, m)).reshape(S, field.q**r)
 
 

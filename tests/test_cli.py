@@ -50,7 +50,7 @@ def test_spectrum_closed_path_walks_no_matrix_space(capsys, monkeypatch):
     def no_walk(*args):
         raise AssertionError("the closed path walked the matrix space")
 
-    monkeypatch.setattr(matq, "scan_matrices", no_walk)
+    monkeypatch.setattr(matq, "rank_table", no_walk)
     code, out, _ = run(
         ["spectrum", "--q", "5", "--l", "3", "--m", "3", "--t", "1",
          "--path", "closed", "--format", "json"],
@@ -62,15 +62,14 @@ def test_spectrum_closed_path_walks_no_matrix_space(capsys, monkeypatch):
 
 def test_spectrum_both_paths_rank_the_space_once(capsys, monkeypatch):
     walks = []
-    real = matq.scan_matrices
+    real = matq.rank_table
 
     def counted(*args):
-        walks.append(0)
-        for mats, ranks, keep in real(*args):
-            walks[-1] += len(mats)
-            yield mats, ranks, keep
+        table = real(*args)
+        walks.append(len(table))
+        return table
 
-    monkeypatch.setattr(matq, "scan_matrices", counted)
+    monkeypatch.setattr(matq, "rank_table", counted)
     code, out, _ = run(
         ["spectrum", "--q", "3", "--l", "2", "--m", "3", "--t", "1", "--format", "json"], capsys
     )

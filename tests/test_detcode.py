@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from detcodes import _kernels, counting, detcode, make_field, matq, rank1
+from detcodes import _kernels, counting, detcode, formulas, make_field, matq, rank1
 from detcodes.errors import BadParameters, BudgetExceeded, ShapeMismatch
 
 from conftest import naive_codeword
@@ -113,6 +113,20 @@ def test_naive_enumerator_over_several_ragged_chunks(f3, monkeypatch):
     assert naive.pairs == detcode.brute_weight_enumerator(f3, 2, 2, 1, "affine").pairs
 
 
+def test_naive_enumerator_ranks_no_form(f3, monkeypatch):
+    detcode.make_domain(f3, 2, 2, 1, "projective")  # cached: only the points are ranked
+
+    def no_rank(*args):
+        raise AssertionError("the naive oracle ranked its forms")
+
+    monkeypatch.setattr(matq, "rank_table", no_rank)
+    monkeypatch.setattr(matq, "row_reduce", no_rank)
+    monkeypatch.setattr(_kernels, "row_reduce", no_rank)
+    assert detcode.naive_weight_enumerator(f3, 2, 2, 1, "projective").as_dict() == {
+        0: 1, 9: 32, 12: 48
+    }
+
+
 def test_brute_enumerator_keeps_no_domain(f3, monkeypatch):
     def no_domain(*args):
         raise AssertionError("the brute spectrum built a domain")
@@ -141,7 +155,16 @@ def test_walk_agrees_across_chunk_boundaries(p, e, l, m, mode, monkeypatch):
     one_chunk = {t: (matq.enumerate_matrices(f, l, m, t, mode),
                      detcode.rank_trace_counts(f, l, m, t, mode)) for t in ts}
     monkeypatch.setattr(_kernels, "_RANK_CHUNK", 7)
-    chunks = [len(mats) for mats, _, _ in matq.scan_matrices(f, l, m, l, mode)]
+    chunks = []
+    real = _kernels._matmul
+
+    def spy(f, A, B):  # the walk's membership product, one per block
+        chunks.append(A.shape[0] * A.shape[1])
+        return real(f, A, B)
+
+    monkeypatch.setattr(_kernels, "_matmul", spy)
+    matq.rank_table(f, l, m)
+    monkeypatch.setattr(_kernels, "_matmul", real)
     assert chunks == BLOCKS_OF_7[p, e, l, m]
     for t in ts:
         pts, (rank_counts, trace_counts) = one_chunk[t]
@@ -151,18 +174,18 @@ def test_walk_agrees_across_chunk_boundaries(p, e, l, m, mode, monkeypatch):
 
 
 def test_domain_budget_stops_the_walk_early(f2, monkeypatch):
-    # 8 matrices per chunk: each block is one first row with all 8 last rows.
+    # 8 table entries per chunk: each is one first row with all 8 last rows.
     monkeypatch.setattr(_kernels, "_RANK_CHUNK", 8)
     monkeypatch.setattr(matq, "DOMAIN_BUDGET", 10)
     blocks = []
-    real = matq.scan_matrices
+    real = matq._domain_chunks
 
     def counted(*args):
-        for mats, ranks, keep in real(*args):
-            blocks.append(len(mats))
-            yield mats, ranks, keep
+        for pts, ranks in real(*args):
+            blocks.append(len(ranks))
+            yield pts, ranks
 
-    monkeypatch.setattr(matq, "scan_matrices", counted)
+    monkeypatch.setattr(matq, "_domain_chunks", counted)
     with pytest.raises(BudgetExceeded):
         matq.enumerate_matrices(f2, 2, 3, 2, "affine")
     assert blocks == [8, 8]  # 16 of 64 points kept when the budget stopped it
@@ -180,6 +203,24 @@ def test_brute_enumerator_memory_is_one_chunk(f2, monkeypatch):
     finally:
         tracemalloc.stop()
     assert rep.total == 2**16
+    assert peak < 4 << 20
+
+
+def test_full_space_trace_count_memory_is_the_table(f2, monkeypatch):
+    # At t = l affine the domain is the whole GF(2) 4x5 space, 2^20 points:
+    # the table is 1 MiB, and any int64 array over the space 8 MiB or more.
+    monkeypatch.setattr(_kernels, "_RANK_CHUNK", 1024)
+    f2.tables, f2.inverses
+    tracemalloc.start()
+    try:
+        rank_counts, trace_counts = detcode.rank_trace_counts(f2, 4, 5, 4, "affine")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rank_counts.tolist() == [counting.mu(4, 5, j, 2) for j in range(5)]
+    assert trace_counts.tolist() == [
+        [formulas.delsarte_N(j, r, 4, 5, 2) for r in range(5)] for j in range(5)
+    ]
     assert peak < 4 << 20
 
 

@@ -45,7 +45,7 @@ def test_public_rank_matches_fallback(p, e):
     for k in range(4):
         X = _random_mats(rng, field.q, 1, 3, k)[0]
         Y = _random_mats(rng, field.q, 30, k, 4)
-        mats = _kernels.gf_matmul_batch(field, X, Y)
+        mats = _kernels.gf_matmul(field, X, Y)
         got = _kernels.rank_batch(field, mats)
         assert (got <= k).all()
         assert got.tolist() == [scalar_rank(field, M) for M in mats]
@@ -70,7 +70,7 @@ def test_public_matmul_matches_fallback(p, e):
     rng = np.random.default_rng(13 * p + e)
     A = rng.integers(0, field.q, size=(4, 6), dtype=np.int64)
     B = rng.integers(0, field.q, size=(2, 6, 3), dtype=np.int64)
-    got = _kernels.gf_matmul_batch(field, A, B)
+    got = _kernels.gf_matmul(field, A, B)
     assert got.shape == (2, 4, 3)
     for b in range(2):
         for i in range(4):
@@ -88,7 +88,7 @@ def test_prime_field_kernels_never_build_tables(monkeypatch):
     rng = np.random.default_rng(1031)
     mats = _random_mats(rng, field.q, 20, 2, 3)
     assert _kernels.rank_batch(field, mats).tolist() == [scalar_rank(field, M) for M in mats]
-    got = _kernels.gf_matmul_batch(field, mats[0], mats.transpose(0, 2, 1))
+    got = _kernels.gf_matmul(field, mats[0], mats.transpose(0, 2, 1))
     assert (got[1] == _kernels.gf_matmul(field, mats[0], mats[1].T)).all()
     assert got[1, 0, 1] == scalar_dot(field, mats[0][0], mats[1][1])
 
@@ -119,7 +119,7 @@ def test_matmul_batch_matches_per_item(f3):
     rng = np.random.default_rng(99)
     A = rng.integers(0, 3, size=(5, 4), dtype=np.int64)
     B = rng.integers(0, 3, size=(7, 4, 6), dtype=np.int64)
-    got = _kernels.gf_matmul_batch(f3, A, B)
+    got = _kernels.gf_matmul(f3, A, B)
     assert got.shape == (7, 5, 6)
     for k in range(7):
         assert (got[k] == _kernels.gf_matmul(f3, A, B[k])).all()

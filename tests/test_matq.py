@@ -201,10 +201,6 @@ def test_enumerate_matrices_counts_match_closed_forms(q):
                     assert len(proj) == sum(counting.mu_hat(l, m, j, q) for j in range(1, t + 1))
 
 
-def test_is_canonical_rep_of_an_empty_stack():
-    assert matq.is_canonical_rep(np.zeros((0, 2, 3), dtype=np.int64)).shape == (0,)
-
-
 def test_enumerate_matrices_projective_reps_canonical(f3):
     pts = matq.enumerate_matrices(f3, 2, 2, 1, "projective")
     flat = pts.reshape(len(pts), -1)
@@ -213,6 +209,33 @@ def test_enumerate_matrices_projective_reps_canonical(f3):
     # lex order of entry tuples
     keys = [tuple(row) for row in flat]
     assert keys == sorted(keys)
+
+
+def _first_nonzero_is_one(M) -> bool:
+    for x in M.flat:  # row-major
+        if x != 0:
+            return x == 1
+    return False
+
+
+CANONICAL_SPACES = [
+    (p, e, l, m)
+    for p, e in [(2, 1), (3, 1), (2, 2), (3, 2)]
+    for l, m in [(1, 3), (2, 2), (2, 3), (3, 3)]
+    if (p**e) ** (l * m) <= 6561
+]
+
+
+@pytest.mark.parametrize("p,e,l,m", CANONICAL_SPACES)
+def test_projective_points_are_the_canonical_affine_points(p, e, l, m, monkeypatch):
+    f = make_field(p, e)
+    # 7 splits the ranges [q^k, 2 q^k) of canonical values over chunks
+    for chunk in (7, _kernels._RANK_CHUNK):
+        monkeypatch.setattr(_kernels, "_RANK_CHUNK", chunk)
+        for t in range(1, l + 1):
+            aff = matq.enumerate_matrices(f, l, m, t, "affine")
+            want = [M for M in aff if _first_nonzero_is_one(M)]
+            assert np.array_equal(matq.enumerate_matrices(f, l, m, t, "projective"), want)
 
 
 # Each field's spaces with l = 1, l = m, l < m and l = 3, as far as the
@@ -225,11 +248,20 @@ WALK_SPACES = [
 ]
 
 
-def _walk(field, l, m):
-    blocks = list(matq.scan_matrices(field, l, m, l, "affine"))
-    sizes = [len(mats) for mats, _, _ in blocks]
-    mats = np.concatenate([mats for mats, _, _ in blocks])
-    return sizes, mats, np.concatenate([ranks for _, ranks, _ in blocks])
+def _walk(field, l, m, mp):
+    """Block sizes and table of one ``rank_table`` walk; a block's size is
+    read off its membership product, (prefixes, last rows, l-1) @ R."""
+    sizes = []
+    real = _kernels._matmul
+
+    def spy(f, A, B):
+        sizes.append(A.shape[0] * A.shape[1])
+        return real(f, A, B)
+
+    mp.setattr(_kernels, "_matmul", spy)
+    table = matq.rank_table(field, l, m)
+    mp.setattr(_kernels, "_matmul", real)
+    return sizes, table
 
 
 def _expected_walk(field, l, m):
@@ -247,10 +279,11 @@ def test_walk_ranks_and_order_match_oracles(p, e, l, m, monkeypatch):
     # chunk packs whole prefixes into a block.
     for chunk in {7, f.q**m - 1, _kernels._RANK_CHUNK}:
         monkeypatch.setattr(_kernels, "_RANK_CHUNK", chunk)
-        sizes, mats, ranks = _walk(f, l, m)
+        sizes, table = _walk(f, l, m, monkeypatch)
         assert max(sizes) <= chunk and sum(sizes) == f.q ** (l * m)
-        assert np.array_equal(mats, space)
-        assert ranks.tolist() == scalar
+        assert table.tolist() == scalar
+        # the whole space is the affine rank-<=l domain, read off the table
+        assert np.array_equal(matq.enumerate_matrices(f, l, m, l, "affine"), space)
 
 
 SMALL_WALK_SPACES = [
@@ -271,8 +304,9 @@ def test_walk_ranks_match_rank_batch_on_random_chunks(data):
     space = _expected_walk(f, l, m)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "_RANK_CHUNK", chunk)
-        sizes, mats, ranks = _walk(f, l, m)
-    assert max(sizes) <= chunk
+        sizes, ranks = _walk(f, l, m, mp)
+        mats = matq.enumerate_matrices(f, l, m, l, "affine")
+    assert max(sizes) <= chunk and sum(sizes) == len(space)
     assert np.array_equal(mats, space)
     assert np.array_equal(ranks, _kernels.rank_batch(f, space))
     sample = data.draw(st.lists(st.integers(0, len(space) - 1), max_size=20))

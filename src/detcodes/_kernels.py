@@ -70,7 +70,7 @@ def _matmul(field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     B = np.asarray(B, dtype=np.int64)
     if field.e == 1:
         out = A @ B
-        out %= field.p  # in place: the naive oracle's products are large
+        out %= field.p  # in place: the walk's membership products are large
         return out
     t = field.tables
     stack = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])

@@ -85,10 +85,7 @@ def _parse_r_range(text: str, rmax: int) -> list[int]:
 
 
 def _brute_ghw_feasible(field, l, m, r) -> bool:
-    try:
-        nsub = counting.gaussian_binomial(l * m, r, field.q)
-    except OverflowError:  # pragma: no cover
-        return False
+    nsub = counting.gaussian_binomial(l * m, r, field.q)
     return nsub * field.q**r <= BRUTE_GHW_COST_CAP
 
 

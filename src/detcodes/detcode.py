@@ -20,7 +20,6 @@ from .counting import _exact_div
 from .errors import BadParameters, BudgetExceeded, ShapeMismatch
 
 NAIVE_COST_BUDGET = 200_000_000  # forms x domain points for the naive path
-NAIVE_CHUNK_BYTES = 16 << 20  # int64 codewords per product in the naive path
 
 
 # eq=False: domains are cached and compared by identity (ndarray field)
@@ -142,32 +141,41 @@ def brute_weight_enumerator(field, l, m, t, mode) -> SpectrumReport:
 
 
 def naive_weight_enumerator(field, l, m, t, mode) -> SpectrumReport:
-    """Fully naive oracle: evaluate every form over the whole domain."""
+    """Fully naive oracle: evaluate every form over the whole domain.
+
+    Split the k = l*m coefficients of a form into a head a (the first
+    k - h) and a tail b (the last h, with h = k // 2).  By linearity the
+    codeword of (a, b) is A[a] + B[b], where A and B hold the partial
+    codewords of the heads and of the tails.  As b runs over GF(q)^h, so
+    does -b, and A[a] + B[-b] = A[a] - B[b] is zero exactly where the two
+    rows are equal.  So the weights of all q^k codewords are the Hamming
+    distances between every head row and every tail row: one table of
+    tails, then one distance count per head.  Nothing is ranked.
+    """
     dom = make_domain(field, l, m, t, mode)
-    cost = field.q ** (l * m) * len(dom)
+    q, k, n = field.q, l * m, len(dom)
+    cost = q**k * n
     if cost > NAIVE_COST_BUDGET:
         raise BudgetExceeded(
             f"naive enumeration cost q^(l*m) * n = {cost} exceeds "
             f"NAIVE_COST_BUDGET = {NAIVE_COST_BUDGET}"
         )
+    h = k // 2
     gen = generator_matrix(dom)
-    total = field.q ** (l * m)
-    block = max(1, NAIVE_CHUNK_BYTES // (8 * len(dom)))
-    counts: Counter[int] = Counter()
-    for lo in range(0, total, block):
-        values = np.arange(lo, min(lo + block, total), dtype=np.int64)
-        forms = matq._base_q_digits(values, field.q, l * m)
-        # unnamed, the last block's codewords are freed before the next product
-        counts.update(np.count_nonzero(gf_matmul(field, forms, gen), axis=1).tolist())
-    return _spectrum_from(mode, counts)
+    tails = gf_matmul(field, matq._base_q_digits(np.arange(q**h), q, h), gen[k - h :])
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for head in matq._base_q_digits(np.arange(q ** (k - h)), q, k - h):
+        word = gf_matmul(field, head[None], gen[: k - h])
+        counts += np.bincount(np.count_nonzero(tails != word, axis=1), minlength=n + 1)
+    return _spectrum_from(mode, dict(enumerate(counts.tolist())))
 
 
-def support_weight(dom: EvaluationDomain, basis, method: str = "both") -> int:
+def support_weight(dom: EvaluationDomain, basis) -> int:
     """Support weight of the subcode spanned by the given forms.
 
-    ``average`` uses the rank-determined weights of all q^r elements;
-    ``union`` counts coordinates hit by the basis codewords; ``both``
-    computes the two independently and asserts agreement.
+    Computed twice, independently, and asserted equal: from the
+    rank-determined weights of all q^r elements of the span, and as the
+    number of coordinates hit by the basis codewords.
     """
     basis = matq.as_matrix(basis, dom.field.q)
     r, nm = basis.shape
@@ -175,24 +183,14 @@ def support_weight(dom: EvaluationDomain, basis, method: str = "both") -> int:
         raise ShapeMismatch("basis must live in the form space of the domain")
     if r == 0:
         raise BadParameters("support weight of the zero subcode is undefined here")
-    if method not in ("average", "union", "both"):
-        raise BadParameters(f"method must be average, union or both, got {method!r}")
     q = dom.field.q
-    results = {}
-    if method in ("average", "both"):
-        ranks = matq.span_ranks(dom.field, basis[None], dom.l, dom.m)[0]
-        wt = weight_table(dom)
-        total = int(np.asarray(wt)[ranks].sum())
-        results["average"] = _exact_div(total, q**r - q ** (r - 1))
-    if method in ("union", "both"):
-        words = gf_matmul(dom.field, basis, generator_matrix(dom))
-        results["union"] = int(np.count_nonzero(words.any(axis=0)))
-    if method == "both":
-        assert results["average"] == results["union"], (
-            "support-weight routes disagree",
-            results,
-        )
-    return results["average" if method != "union" else "union"]
+    ranks = matq.span_ranks(dom.field, basis[None], dom.l, dom.m)[0]
+    total = int(np.asarray(weight_table(dom))[ranks].sum())
+    average = _exact_div(total, q**r - q ** (r - 1))
+    words = gf_matmul(dom.field, basis, generator_matrix(dom))
+    union = int(np.count_nonzero(words.any(axis=0)))
+    assert average == union, ("support-weight routes disagree", average, union)
+    return average
 
 
 def _subspace_supports(dom: EvaluationDomain, r: int):

@@ -188,33 +188,26 @@ class Field:
 
     @cached_property
     def tables(self) -> SimpleNamespace:
-        q, p, e = self.q, self.p, self.e
+        q, p = self.q, self.p
         if q > TABLE_MAX_Q:
             raise BudgetExceeded(f"q={q} too large for table-backed kernels (max {TABLE_MAX_Q})")
-        if e == 1:
-            a = np.arange(q, dtype=np.int64)
-            add = (a[:, None] + a[None, :]) % p
-            mul = (a[:, None] * a[None, :]) % p
-            neg = (-a) % p
-            inv = self.inverses
-        else:
-            D, pows = self.prime_rep.digits, self.prime_rep.pows
-            add = ((D[:, None, :] + D[None, :, :]) % p) @ pows
-            neg = ((-D) % p) @ pows
-            # multiplicative group via log/antilog over a generator
-            g = self._generator()
-            antilog = np.empty(q - 1, dtype=np.int64)
-            x = 1
-            for k in range(q - 1):
-                antilog[k] = x
-                x = self.mul(x, g)
-            log = np.zeros(q, dtype=np.int64)
-            log[antilog] = np.arange(q - 1)
-            mul = np.zeros((q, q), dtype=np.int64)
-            nz = np.arange(1, q)
-            mul[1:, 1:] = antilog[(log[nz][:, None] + log[nz][None, :]) % (q - 1)]
-            inv = np.zeros(q, dtype=np.int64)
-            inv[antilog] = antilog[(-np.arange(q - 1)) % (q - 1)]
+        D, pows = self.prime_rep.digits, self.prime_rep.pows
+        add = ((D[:, None, :] + D[None, :, :]) % p) @ pows
+        neg = ((-D) % p) @ pows
+        # multiplicative group via log/antilog over a generator
+        g = self._generator()
+        antilog = np.empty(q - 1, dtype=np.int64)
+        x = 1
+        for k in range(q - 1):
+            antilog[k] = x
+            x = self.mul(x, g)
+        log = np.zeros(q, dtype=np.int64)
+        log[antilog] = np.arange(q - 1)
+        mul = np.zeros((q, q), dtype=np.int64)
+        nz = np.arange(1, q)
+        mul[1:, 1:] = antilog[(log[nz][:, None] + log[nz][None, :]) % (q - 1)]
+        inv = np.zeros(q, dtype=np.int64)
+        inv[antilog] = antilog[(-np.arange(q - 1)) % (q - 1)]
         sub = add[:, neg]
         return SimpleNamespace(
             add=np.ascontiguousarray(add, dtype=np.int32),
@@ -244,7 +237,7 @@ class Field:
         return out
 
     def _generator(self) -> int:
-        for g in range(2, self.q):
+        for g in range(1, self.q):  # 1 generates only GF(2)'s group
             x, order = g, 1
             while x != 1:
                 x = self.mul(x, g)

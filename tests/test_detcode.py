@@ -1,12 +1,16 @@
 import itertools
+import math
 import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from detcodes import _kernels, counting, detcode, formulas, make_field, matq, rank1
-from detcodes.errors import BadParameters, BudgetExceeded, ShapeMismatch
+from detcodes.errors import BudgetExceeded, ShapeMismatch
+from detcodes.gf import parse_q
 
 from conftest import naive_codeword
 
@@ -98,19 +102,51 @@ def test_rank_grouped_equals_naive_enumerator(q, l, m):
             assert grouped.as_dict()[0] == 1
 
 
-def test_naive_enumerator_over_several_ragged_chunks(f3, monkeypatch):
-    # 81 forms over 33 points, 7 codewords per product: 11 full chunks
-    # and a last one of 4.
-    dom = detcode.make_domain(f3, 2, 2, 1, "affine")
-    monkeypatch.setattr(detcode, "NAIVE_CHUNK_BYTES", 8 * len(dom) * 7)
-    sizes = []
-    real = detcode.gf_matmul
-    monkeypatch.setattr(
-        detcode, "gf_matmul", lambda f, A, B: sizes.append(len(A)) or real(f, A, B)
-    )
-    naive = detcode.naive_weight_enumerator(f3, 2, 2, 1, "affine")
-    assert sizes == [7] * 11 + [4]
-    assert naive.pairs == detcode.brute_weight_enumerator(f3, 2, 2, 1, "affine").pairs
+def _product_spectrum(field, l, m, t, mode) -> dict[int, int]:
+    """Reference: every form's codeword by one product, nonzeros counted."""
+    dom = detcode.make_domain(field, l, m, t, mode)
+    forms = np.array(list(itertools.product(range(field.q), repeat=l * m)), dtype=np.int64)
+    words = _kernels.gf_matmul(field, forms, detcode.generator_matrix(dom))
+    return dict(Counter(np.count_nonzero(words, axis=1).tolist()))
+
+
+@st.composite
+def _small_codes(draw):
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    kmax = int(math.log(6561, q) + 1e-9)  # q^(l*m) <= 3^8
+    l = draw(st.integers(1, min(3, math.isqrt(kmax))))
+    m = draw(st.integers(l, min(4, kmax // l)))
+    return q, l, m, draw(st.integers(1, l)), draw(st.sampled_from(["projective", "affine"]))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(code=_small_codes())
+@example(code=(3, 1, 1, 1, "projective"))  # k = 1: no tail coefficient
+@example(code=(4, 1, 1, 1, "affine"))
+@example(code=(3, 1, 3, 1, "affine"))  # odd k: the head is the longer half
+@example(code=(2, 3, 3, 2, "projective"))
+@example(code=(8, 1, 3, 1, "affine"))
+@example(code=(9, 2, 2, 1, "projective"))
+def test_naive_enumerator_matches_the_per_form_product(code):
+    q, l, m, t, mode = code
+    field = parse_q(str(q))
+    assume(q ** (l * m) * len(detcode.make_domain(field, l, m, t, mode)) <= 1_000_000)
+    naive = detcode.naive_weight_enumerator(field, l, m, t, mode)
+    assert naive.as_dict() == _product_spectrum(field, l, m, t, mode)
+    assert naive.total == q ** (l * m)
+
+
+def test_naive_enumerator_memory_is_one_tail_table(f3):
+    # 3^9 forms over 8,451 points: the table holds 81 tails of 66 KiB each.
+    detcode.make_domain(f3, 3, 3, 2, "affine")  # cached: the walk is not measured
+    tracemalloc.start()
+    try:
+        naive = detcode.naive_weight_enumerator(f3, 3, 3, 2, "affine")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert naive.pairs == detcode.brute_weight_enumerator(f3, 3, 3, 2, "affine").pairs
+    assert peak < 8 << 20
 
 
 def test_naive_enumerator_ranks_no_form(f3, monkeypatch):
@@ -255,15 +291,9 @@ def test_support_weight_routes_agree_on_all_small_subspaces(q, l, m, t, mode):
     dom = detcode.make_domain(f, l, m, t, mode)
     for r in (1, 2):
         for basis in matq.enumerate_subspaces(f, l * m, r):
-            avg = detcode.support_weight(dom, basis, method="average")
-            union = detcode.support_weight(dom, basis, method="union")
-            assert avg == union
-
-
-def test_support_weight_rejects_an_unknown_method(f2):
-    dom = detcode.make_domain(f2, 2, 2, 1, "projective")
-    with pytest.raises(BadParameters, match="bogus"):
-        detcode.support_weight(dom, np.eye(4, dtype=np.int64)[:1], method="bogus")
+            words = [naive_codeword(f, b, dom.points) for b in basis]
+            union = sum(1 for column in zip(*words) if any(column))
+            assert detcode.support_weight(dom, basis) == union
 
 
 def test_brute_ghw_flagship(f2):

@@ -85,7 +85,7 @@ def test_frobenius(p, e):
         assert f.pow(a, f.q) == a
 
 
-@pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2)])
 def test_tables_agree_with_polynomial_arithmetic(p, e):
     f = make_field(p, e)
     t = f.tables

@@ -1,24 +1,23 @@
 """Batch kernels for GF(q) linear algebra, in numpy.
 
-One batched in-place reduction to reduced row echelon form serves every
-field and every caller: ``rank_batch`` keeps only its ranks, while
-``matq.rref``, ``matq.normal_form`` and the walk of the matrix space in
-``matq.rank_table`` read the reduced matrices; the walk then tests last
-rows for row-space membership with the one product, ``_matmul``, which
-also serves ``gf_matmul``.  Only its row arithmetic depends on the
-field: prime fields reduce integer arithmetic mod p, so any p up to
-``gf.MAX_Q`` works without tables; extension fields look sums and
-products up in ``Field.tables``, so they are limited to
-``gf.TABLE_MAX_Q``.  The arithmetic is written inline for each case
-rather than through field callables, which lets numpy reuse the
-batch-sized temporaries in place.
+Two kernels serve every field and every caller.  One batched in-place
+reduction to reduced row echelon form: ``rank_batch`` keeps only its
+ranks, while ``matq.rref`` and ``matq.normal_form`` read the reduced
+matrices.  One product, ``gf_matmul``: the walk of the matrix space in
+``matq.rank_table`` reaches it through ``matq.span_indices`` and
+eliminates nothing.  Only their arithmetic depends on the field: prime
+fields reduce integer arithmetic mod p, so any p up to ``gf.MAX_Q``
+works without tables; extension fields look sums and products up in
+``Field.tables``, so they are limited to ``gf.TABLE_MAX_Q``.  The
+arithmetic is written inline for each case rather than through field
+callables, which lets numpy reuse the batch-sized temporaries in place.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_RANK_CHUNK = 1 << 16  # per rank_batch elimination, matq.rank_table block and domain chunk
+_RANK_CHUNK = 1 << 16  # entries per rank_batch elimination, rank_table block and domain chunk
 
 
 def row_reduce(field, w: np.ndarray) -> np.ndarray:
@@ -54,32 +53,27 @@ def row_reduce(field, w: np.ndarray) -> np.ndarray:
 
 
 def rank_batch(field, mats: np.ndarray) -> np.ndarray:
-    """Rank over GF(q) of every matrix in a (B, l, m) stack."""
+    """Rank over GF(q) of every matrix in a (B, l, m) stack, eliminated
+    at most ``_RANK_CHUNK`` entries (or one matrix) at a time."""
     mats = np.asarray(mats)
     out = np.empty(len(mats), dtype=np.int64)
-    for lo in range(0, len(mats), _RANK_CHUNK):
-        chunk = mats[lo : lo + _RANK_CHUNK].astype(np.int64)
+    per = max(1, _RANK_CHUNK // max(1, mats.shape[1] * mats.shape[2]))
+    for lo in range(0, len(mats), per):
+        chunk = mats[lo : lo + per].astype(np.int64)
         out[lo : lo + len(chunk)] = row_reduce(field, chunk)
     return out
 
 
-def _matmul(field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """GF(q) product of A (..., x, k) and B (..., k, y), stack dimensions
-    broadcast as in ``np.matmul``."""
+def gf_matmul(field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Product of A (x, k) and B (k, y), or a stack B (S, k, y), over GF(q)."""
     A = np.asarray(A, dtype=np.int64)
     B = np.asarray(B, dtype=np.int64)
     if field.e == 1:
         out = A @ B
-        out %= field.p  # in place: the walk's membership products are large
+        out %= field.p  # in place: no second product-sized array
         return out
     t = field.tables
-    stack = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
-    out = np.zeros(stack + (A.shape[-2], B.shape[-1]), dtype=np.int64)
-    for s in range(A.shape[-1]):
-        out = t.add[out, t.mul[A[..., s, None], B[..., s, None, :]]]
+    out = np.zeros(B.shape[:-2] + (A.shape[0], B.shape[-1]), dtype=np.int64)
+    for s in range(A.shape[1]):
+        out = t.add[out, t.mul[A[:, s, None], B[..., s, None, :]]]
     return out.astype(np.int64, copy=False)
-
-
-def gf_matmul(field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Product of A (x, k) and B (k, y), or a stack B (S, k, y), over GF(q)."""
-    return _matmul(field, A, B)

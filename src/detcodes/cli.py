@@ -209,14 +209,17 @@ def _verify_checks(field, l, m, t):
     out = []
     skipped = []
     n, n_hat = counting.lengths(l, m, t, q)
-    out.append(check("length-transfer n = 1 + n_hat(q-1)", n == 1 + n_hat * (q - 1)))
+    rank_counts, direct = detcode.rank_trace_counts(field, l, m, l, "affine")
+    proj_dom = detcode.make_domain(field, l, m, t, "projective")
+    out.append(check("closed-form lengths n, n_hat vs enumeration",
+                     n == rank_counts[: t + 1].sum() and n_hat == len(proj_dom)))
     out.append(
         check("rank-class counts sum to q^(l*m)",
               sum(counting.mu(l, m, r, q) for r in range(l + 1)) == q ** (l * m))
     )
     out.append(
-        check("rank-class count transposition symmetry",
-              all(counting.mu(l, m, r, q) == counting.mu(m, l, r, q) for r in range(l + 1)))
+        check("rank-class counts mu vs enumeration",
+              all(counting.mu(l, m, r, q) == rank_counts[r] for r in range(l + 1)))
     )
 
     spectra = {}
@@ -241,14 +244,14 @@ def _verify_checks(field, l, m, t):
     out.append(check("spectrum transfer A_{i(q-1)} = A_hat_i", ok_transfer))
 
     # alternating-sum count vs direct enumeration, all (t, r) cells
-    _, direct = detcode.rank_trace_counts(field, l, m, l, "affine")
     ok_dels = all(formulas.delsarte_N(tt, r, l, m, q) == direct[tt, r]
                   for tt in range(l + 1) for r in range(l + 1))
     out.append(check("alternating-sum rank counts vs enumeration", ok_dels))
 
-    gen = detcode.generator_matrix(detcode.make_domain(field, l, m, t, "projective"))
+    gen = detcode.generator_matrix(proj_dom)
+    # rank is unchanged by transposition, and gen.T has only l*m columns
     out.append(check("generator rank = l*m and no zero column",
-                     matq.rank(field, gen) == l * m and bool(gen.any(axis=0).all())))
+                     matq.rank(field, gen.T) == l * m and bool(gen.any(axis=0).all())))
 
     if t == 1:
         name = "higher weights: closed/bounds vs brute, affine transfer"
@@ -285,11 +288,11 @@ def _verify_checks(field, l, m, t):
         if not _brute_ghw_feasible(field, l, m, r):
             skip(name, over_cap)
             continue
-        best, _ = rank1.max_rank1_exhaustive(field, l, m, r)
+        best, witness = rank1.max_rank1_exhaustive(field, l, m, r)
         bound = counting.rank1_bound(r, l, m, q)
         out.append(check(name,
                          best <= bound.max_rank1
-                         and q**r - 1 - best >= bound.rank2_floor,
+                         and rank1.count_rank1(field, witness, l, m) == best,
                          f"max={best} bound={bound.max_rank1}"))
     return out, skipped
 

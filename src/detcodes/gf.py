@@ -166,9 +166,6 @@ class Field:
             raise DivisionByZero("inverse of 0")
         return self.pow(a, self.q - 2)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, n: int) -> int:
         self._check(a)
         if n < 0:

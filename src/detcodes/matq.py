@@ -110,35 +110,40 @@ def rank_table(field, l: int, m: int) -> np.ndarray:
     value: its row-major entries read as digits, the first most
     significant.
 
-    This is the one walk of the matrix space.  The value of a matrix is
-    prefix * q^m + last row, with the prefix its first l-1 rows, so the
-    table is a (prefixes, q^m) grid, filled one block of at most
-    ``_kernels._RANK_CHUNK`` entries at a time: a run of whole prefixes,
-    or one prefix with a range of its last rows when q^m is larger.
-    Ranks come from elimination, not from any count: each prefix is
-    brought to RREF R once per block, and rank([P; v]) = rank(P) +
-    [v not in rowspace(R)], where v is in the row space iff
-    v[pivots] @ R == v.  The table takes one byte per matrix.
+    This is the one walk of the matrix space, grown a row at a time from
+    the 1 x m table, where the rank is [v != 0].  A k-row matrix's value
+    is prefix * q^m + last row, so the k-row table is a (prefixes, q^m)
+    grid, filled in blocks of whole prefixes, at most
+    ``_kernels._RANK_CHUNK`` entries when q^m fits.  Since rank([P; v])
+    = rank(P) + [v not in rowspace P], a prefix P's row is rank(P) + 1,
+    read off the (k-1)-row table, except at the values c @ P that
+    ``span_indices`` lists, where it is rank(P); a rank-deficient P lists
+    some twice and writes the same rank again.  So the ranks come from
+    linear algebra, not from any count, and nothing is eliminated.  A
+    tall space is ranked as its transpose, whose prefixes span fewer
+    values.  The table takes one byte per matrix.
     """
+    if min(l, m) < 1:
+        raise BadParameters(f"need l, m >= 1, got l={l}, m={m}")
     q = field.q
-    table = np.empty(_space_size(q, l, m), dtype=np.uint8)
-    rows, prefixes = q**m, q ** ((l - 1) * m)
-    grid = table.reshape(prefixes, rows)
+    _space_size(q, l, m)
+    if l > m:  # rank is unchanged by transposition
+        wide = rank_table(field, m, l).reshape((q,) * (l * m))
+        return wide.transpose([j * l + i for i in range(l) for j in range(m)]).reshape(-1)
+    rows = q**m
+    table = np.ones(rows, dtype=np.uint8)
+    table[0] = 0
     per = max(1, _kernels._RANK_CHUNK // rows)  # prefixes per block
-    step = min(rows, _kernels._RANK_CHUNK)  # last rows per block
-    for lo in range(0, prefixes, per):
-        hi = min(lo + per, prefixes)
-        R = _base_q_digits(np.arange(lo, hi, dtype=np.int64), q, (l - 1) * m)
-        R = R.reshape(hi - lo, l - 1, m)
-        prefix_ranks = row_reduce(field, R)
-        # a zero row of R adds nothing, whichever column it is read at
-        pivots = (R != 0).argmax(axis=2)
-        for vlo in range(0, rows, step):
-            V = _base_q_digits(np.arange(vlo, min(vlo + step, rows), dtype=np.int64), q, m)
-            spanned = (
-                _kernels._matmul(field, V[:, pivots].transpose(1, 0, 2), R) == V
-            ).all(axis=2)
-            grid[lo:hi, vlo : vlo + len(V)] = prefix_ranks[:, None] + ~spanned
+    for k in range(2, l + 1):
+        prefix_ranks, table = table, np.empty(q ** (k * m), dtype=np.uint8)
+        grid = table.reshape(-1, rows)
+        for lo in range(0, len(grid), per):
+            hi = min(lo + per, len(grid))
+            P = _base_q_digits(np.arange(lo, hi, dtype=np.int64), q, (k - 1) * m)
+            ranks = prefix_ranks[lo:hi, None]
+            grid[lo:hi] = ranks + 1
+            np.put_along_axis(grid[lo:hi], span_indices(field, P.reshape(hi - lo, k - 1, m)),
+                              ranks, axis=1)
     return table
 
 

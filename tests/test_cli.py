@@ -1,9 +1,13 @@
 """Command-line interface: output formats, JSON serialization, exit codes."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from detcodes import cli, detcode, formulas, gf, matq
 
@@ -222,12 +226,17 @@ def test_genmat_stdout(capsys):
 
 
 def test_genmat_large_fields(capsys):
-    # Prime fields reduce mod p at any size; extension fields need tables,
-    # which stop at gf.TABLE_MAX_Q = 1024, so q = 2^11 is a budget error.
+    # Prime fields reduce mod p at any size.  At l = 1 the walk needs no
+    # field arithmetic, so q = 2^11 has a generator matrix too; its brute
+    # spectrum needs tables, which stop at gf.TABLE_MAX_Q = 1024.
     code, out, _ = run(["genmat", "--q", "1031", "--l", "1", "--m", "1", "--t", "1"], capsys)
     assert code == 0
     assert out.splitlines() == ["1031 1 1 1 projective 1 1", "1"]
-    code, _, err = run(["genmat", "--q", "2^11", "--l", "1", "--m", "1", "--t", "1"], capsys)
+    code, out, _ = run(["genmat", "--q", "2^11", "--l", "1", "--m", "1", "--t", "1"], capsys)
+    assert code == 0
+    assert out.splitlines() == ["2048 1 1 1 projective 1 1", "1"]
+    argv = ["spectrum", "--path", "brute", "--q", "2^11", "--l", "1", "--m", "1", "--t", "1"]
+    code, _, err = run(argv, capsys)
     assert code == 3
     assert "budget" in err.lower()
 
@@ -318,6 +327,60 @@ def test_verify_alternating_sum_check_fails_on_a_wrong_cell(capsys, monkeypatch,
     assert sum(line.startswith("FAIL  ") for line in out.splitlines()) == 1
 
 
+def test_verify_length_check_fails_on_a_short_domain(capsys, monkeypatch):
+    real = detcode.make_domain
+
+    def short(field, l, m, t, mode):
+        dom = real(field, l, m, t, mode)
+        if mode == "affine":
+            return dom
+        return detcode.EvaluationDomain(field, l, m, t, mode, dom.points[:-1])
+
+    monkeypatch.setattr(detcode, "make_domain", short)
+    # t = 2: no subcode search reads the domain, so no support weight breaks
+    code, out, _ = run(["verify", "--q", "2", "--l", "2", "--m", "2", "--t", "2"], capsys)
+    assert code == 1
+    assert "FAIL  closed-form lengths n, n_hat vs enumeration" in out
+
+
+def test_verify_rank_class_check_fails_on_swapped_counts(capsys, monkeypatch):
+    # Ranks 0 and 1 swap counts: the t = 1 length and every spectrum stay.
+    real = detcode.rank_trace_counts
+
+    def swapped(field, l, m, t, mode):
+        rank_counts, trace_counts = real(field, l, m, t, mode)
+        if (t, mode) == (l, "affine"):
+            rank_counts = rank_counts[[1, 0, 2]]
+        return rank_counts, trace_counts
+
+    monkeypatch.setattr(detcode, "rank_trace_counts", swapped)
+    code, out, _ = run(["verify", "--q", "2", "--l", "2", "--m", "2", "--t", "1"], capsys)
+    assert code == 1
+    assert "FAIL  rank-class counts mu vs enumeration" in out
+    assert sum(line.startswith("FAIL  ") for line in out.splitlines()) == 1
+
+
+def test_verify_rank1_check_fails_on_a_miscounted_witness(capsys, monkeypatch):
+    # The search reads one rank-1 element of each span as rank 2, so its
+    # witness holds one more rank-1 element than the count it reports.
+    real = matq.span_rank_batches
+
+    def one_fewer(field, l, m, r):
+        for bases, ranks in real(field, l, m, r):
+            ranks = ranks.copy()
+            ones = ranks == 1
+            rows = np.flatnonzero(ones.any(axis=1))
+            ranks[rows, ones[rows].argmax(axis=1)] = 2
+            yield bases, ranks
+
+    monkeypatch.setattr(matq, "span_rank_batches", one_fewer)
+    code, out, _ = run(["verify", "--q", "2", "--l", "2", "--m", "2", "--t", "2"], capsys)
+    assert code == 1
+    for r in (3, 4):
+        assert f"FAIL  rank-1 extremal count within bound (r={r})" in out
+    assert sum(line.startswith("FAIL  ") for line in out.splitlines()) == 2
+
+
 def test_verify_reports_skipped_checks_and_never_counts_them(capsys):
     argv = ["verify", "--q", "2", "--l", "3", "--m", "3", "--t", "1"]
     code, out, _ = run(argv, capsys)
@@ -377,6 +440,38 @@ def test_exit_code_parameter_errors(capsys):
         ["genmat", "--q", "2", "--l", "2", "--m", "2", "--t", "0"], capsys
     )
     assert code == 2
+
+
+FUZZ_COMMANDS = [
+    ["spectrum", "--path", "closed"],
+    ["spectrum", "--path", "brute"],
+    ["genmat"],
+    ["count"],
+    ["ghw", "--no-brute"],
+    ["verify"],
+]
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    cmd=st.sampled_from(FUZZ_COMMANDS),
+    q=st.sampled_from([2, 3, 4]),
+    l=st.integers(0, 3),
+    m=st.integers(0, 3),
+    t=st.integers(0, 3),
+    mode=st.sampled_from(["affine", "projective"]),
+)
+@example(cmd=["spectrum", "--path", "brute"], q=2, l=0, m=1, t=0, mode="affine")
+@example(cmd=["genmat"], q=2, l=0, m=1, t=0, mode="affine")
+@example(cmd=["verify"], q=3, l=0, m=2, t=0, mode="projective")
+def test_cli_exits_with_a_code_and_never_raises(cmd, q, l, m, t, mode):
+    assume(q ** (l * m) <= 4096)
+    argv = cmd + ["--q", str(q), "--l", str(l), "--m", str(m), "--t", str(t)]
+    if cmd != ["count"]:  # count takes no mode
+        argv += ["--mode", mode]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = cli.dispatch(argv)
+    assert code in (0, 1, 2, 3)
 
 
 def test_exit_code_budget(capsys):

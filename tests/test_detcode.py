@@ -175,11 +175,11 @@ def test_brute_enumerator_keeps_no_domain(f3, monkeypatch):
 
 
 # With 7 matrices per chunk, every q^m here exceeds the chunk, so each
-# block is one prefix (first row) with a 7-row slice of its q^m last rows.
+# block is one prefix (first row) with all q^m of its last rows.
 BLOCKS_OF_7 = {
-    (2, 1, 2, 3): [7, 1] * 8,
-    (3, 1, 2, 2): [7, 2] * 9,
-    (2, 2, 2, 2): [7, 7, 2] * 16,
+    (2, 1, 2, 3): [1] * 8,
+    (3, 1, 2, 2): [1] * 9,
+    (2, 2, 2, 2): [1] * 16,
 }
 
 
@@ -192,15 +192,15 @@ def test_walk_agrees_across_chunk_boundaries(p, e, l, m, mode, monkeypatch):
                      detcode.rank_trace_counts(f, l, m, t, mode)) for t in ts}
     monkeypatch.setattr(_kernels, "_RANK_CHUNK", 7)
     chunks = []
-    real = _kernels._matmul
+    real = matq.span_indices
 
-    def spy(f, A, B):  # the walk's membership product, one per block
-        chunks.append(A.shape[0] * A.shape[1])
-        return real(f, A, B)
+    def spy(f, bases):  # the spans of a block's prefixes, one call per block
+        chunks.append(len(bases))
+        return real(f, bases)
 
-    monkeypatch.setattr(_kernels, "_matmul", spy)
+    monkeypatch.setattr(matq, "span_indices", spy)
     matq.rank_table(f, l, m)
-    monkeypatch.setattr(_kernels, "_matmul", real)
+    monkeypatch.setattr(matq, "span_indices", real)
     assert chunks == BLOCKS_OF_7[p, e, l, m]
     for t in ts:
         pts, (rank_counts, trace_counts) = one_chunk[t]

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,19 +250,29 @@ WALK_SPACES = [
 
 
 def _walk(field, l, m, mp):
-    """Block sizes and table of one ``rank_table`` walk; a block's size is
-    read off its membership product, (prefixes, last rows, l-1) @ R."""
-    sizes = []
-    real = _kernels._matmul
+    """Blocks and table of one ``rank_table`` walk; a block is read off
+    its ``span_indices`` call, as (rows k, prefixes) of its k-row grid."""
+    blocks = []
+    real = matq.span_indices
 
-    def spy(f, A, B):
-        sizes.append(A.shape[0] * A.shape[1])
-        return real(f, A, B)
+    def spy(f, bases):
+        blocks.append((bases.shape[1] + 1, bases.shape[0]))
+        return real(f, bases)
 
-    mp.setattr(_kernels, "_matmul", spy)
+    mp.setattr(matq, "span_indices", spy)
     table = matq.rank_table(field, l, m)
-    mp.setattr(_kernels, "_matmul", real)
-    return sizes, table
+    mp.setattr(matq, "span_indices", real)
+    return blocks, table
+
+
+def _assert_blocks(field, l, m, chunk, blocks):
+    """Each k-row grid, k = 2..l, is filled in order by blocks of at most
+    max(1, chunk // q^m) prefixes, which cover its q^((k-1)m) prefixes."""
+    assert [k for k, _ in blocks] == sorted(k for k, _ in blocks)
+    assert max((n for _, n in blocks), default=0) <= max(1, chunk // field.q**m)
+    for k in range(2, l + 1):
+        assert sum(n for kk, n in blocks if kk == k) == field.q ** ((k - 1) * m)
+    assert {k for k, _ in blocks} == set(range(2, l + 1))
 
 
 def _expected_walk(field, l, m):
@@ -275,12 +286,12 @@ def test_walk_ranks_and_order_match_oracles(p, e, l, m, monkeypatch):
     space = _expected_walk(f, l, m)
     scalar = [scalar_rank(f, M) for M in space]
     assert _kernels.rank_batch(f, space).tolist() == scalar
-    # 7 and q^m - 1 split each prefix's last rows over blocks; the default
-    # chunk packs whole prefixes into a block.
+    # 7 and q^m - 1 make blocks of one prefix where q^m is larger; the
+    # default chunk packs many prefixes into a block.
     for chunk in {7, f.q**m - 1, _kernels._RANK_CHUNK}:
         monkeypatch.setattr(_kernels, "_RANK_CHUNK", chunk)
-        sizes, table = _walk(f, l, m, monkeypatch)
-        assert max(sizes) <= chunk and sum(sizes) == f.q ** (l * m)
+        blocks, table = _walk(f, l, m, monkeypatch)
+        _assert_blocks(f, l, m, chunk, blocks)
         assert table.tolist() == scalar
         # the whole space is the affine rank-<=l domain, read off the table
         assert np.array_equal(matq.enumerate_matrices(f, l, m, l, "affine"), space)
@@ -304,9 +315,9 @@ def test_walk_ranks_match_rank_batch_on_random_chunks(data):
     space = _expected_walk(f, l, m)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "_RANK_CHUNK", chunk)
-        sizes, ranks = _walk(f, l, m, mp)
+        blocks, ranks = _walk(f, l, m, mp)
         mats = matq.enumerate_matrices(f, l, m, l, "affine")
-    assert max(sizes) <= chunk and sum(sizes) == len(space)
+    _assert_blocks(f, l, m, chunk, blocks)
     assert np.array_equal(mats, space)
     assert np.array_equal(ranks, _kernels.rank_batch(f, space))
     sample = data.draw(st.lists(st.integers(0, len(space) - 1), max_size=20))
@@ -314,13 +325,14 @@ def test_walk_ranks_match_rank_batch_on_random_chunks(data):
 
 
 # l = 1 and l = m over prime and extension fields, as far as the scalar
-# oracle can rank every matrix of the space in a test.
+# oracle can rank every matrix of the space in a test, and tall spaces
+# (l > m), which the table ranks through their transposes.
 TABLE_SPACES = [
     (p, e, l, m)
     for p, e in [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)]
     for l, m in [(1, 1), (1, 2), (1, 3), (2, 2), (3, 3)]
     if (p**e) ** (l * m) <= 6561
-]
+] + [(2, 1, 3, 2), (2, 1, 4, 3), (3, 1, 2, 1), (3, 1, 3, 2), (2, 2, 3, 1), (5, 1, 4, 1)]
 
 
 @pytest.mark.parametrize("p,e,l,m", TABLE_SPACES)
@@ -335,6 +347,40 @@ def test_rank_table_matches_oracles(p, e, l, m, monkeypatch):
         table = matq.rank_table(f, l, m)
         assert table.dtype == np.uint8 and table.shape == (f.q ** (l * m),)
         assert np.array_equal(table, expected)
+
+
+def test_rank_table_memory_is_the_table(f2):
+    # GF(2) 4x5: the table is 1 MiB, and each block of 2,048 prefixes
+    # spans 16 values apiece.
+    f2.tables, f2.inverses
+    tracemalloc.start()
+    try:
+        table = matq.rank_table(f2, 4, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.bincount(table).tolist() == [counting.mu(4, 5, r, 2) for r in range(5)]
+    assert peak < 2.5 * (1 << 20)
+
+
+def test_tall_rank_table_grows_its_transpose(f2):
+    # 12 x 1 is the transpose of 1 x 12, whose table needs no field
+    # arithmetic; growing 12 rows would span 2^11 values per prefix.
+    space = _expected_walk(f2, 12, 1)
+    tracemalloc.start()
+    try:
+        table = matq.rank_table(f2, 12, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(table, _kernels.rank_batch(f2, space))
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("l,m", [(0, 2), (2, 0), (0, 0)])
+def test_rank_table_rejects_an_empty_shape(f2, l, m):
+    with pytest.raises(BadParameters, match="need l, m >= 1"):
+        matq.rank_table(f2, l, m)
 
 
 def test_rank_table_budget_is_the_walks(f2, monkeypatch):

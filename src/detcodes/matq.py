@@ -26,7 +26,7 @@ from .errors import (
 MATRIX_SPACE_BUDGET = 50_000_000  # q^(l*m) matrices walked, one byte each, by rank_table
 DOMAIN_BUDGET = 10_000_000  # points kept in an evaluation domain
 SUBSPACE_BUDGET = 10_000_000  # subspaces visited
-_SUBSPACE_BATCH = 4096  # bases per stack yielded by subspace_batches
+_SUBSPACE_BATCH = 4096  # subspace_batches stacks hold the largest power of q up to this
 
 
 def as_matrix(M, q: int | None = None) -> np.ndarray:
@@ -207,11 +207,23 @@ def _profile_free_slots(N: int, profile) -> list[tuple[int, int]]:
     return slots
 
 
+def _max_power(q: int, n: int) -> int:
+    """The largest e with q^e <= n (0 when q > n)."""
+    e = 0
+    while q ** (e + 1) <= n:
+        e += 1
+    return e
+
+
 def subspace_batches(field, N: int, r: int):
     """Yield (S, r, N) stacks of RREF bases, one pivot profile at a time.
 
     Deterministic order: profiles lexicographic, free entries filled by
-    base-q digits (first free slot most significant).
+    base-q digits (first free slot most significant).  A stack holds
+    q^min(s, free slots) bases, with q^s the largest power of q up to
+    ``_SUBSPACE_BATCH``, and starts at a filling index divisible by its
+    size: its bases share every free entry but the last min(s, free
+    slots), which run over all their fillings.
     """
     if not 0 <= r <= N:
         raise BadParameters(f"need 0 <= r <= N, got r={r}, N={N}")
@@ -219,17 +231,21 @@ def subspace_batches(field, N: int, r: int):
     total = counting.gaussian_binomial(N, r, q)
     if total > SUBSPACE_BUDGET:
         raise BudgetExceeded(f"{total} subspaces exceed the budget {SUBSPACE_BUDGET}")
+    S = min(_max_power(q, _SUBSPACE_BATCH), r * (N - r))  # no profile has more slots
+    # every stack's last s digits, in the smallest dtype that holds a digit
+    fillings = _base_q_digits(np.arange(q**S, dtype=np.int64), q, S)
+    fillings = fillings.astype(np.min_scalar_type(q - 1))
     for profile in _pivot_profiles(N, r):
         slots = _profile_free_slots(N, profile)
         si, sj = np.array(slots, dtype=np.int64).reshape(-1, 2).T
-        nfill = q ** len(slots)
+        k, s = len(slots), min(S, len(slots))
         base = np.zeros((r, N), dtype=np.int64)
         base[np.arange(r), list(profile)] = 1
-        for lo in range(0, nfill, _SUBSPACE_BATCH):
-            hi = min(lo + _SUBSPACE_BATCH, nfill)
-            batch = np.broadcast_to(base, (hi - lo, r, N)).copy()
-            batch[:, si, sj] = _base_q_digits(np.arange(lo, hi, dtype=np.int64), q, len(slots))
-            yield batch
+        for head in _base_q_digits(np.arange(q ** (k - s), dtype=np.int64), q, k - s):
+            base[si[: k - s], sj[: k - s]] = head  # the stack's shared free entries
+            stack = np.broadcast_to(base, (q**s, r, N)).copy()
+            stack[:, si[k - s :], sj[k - s :]] = fillings[: q**s, S - s :]
+            yield stack
 
 
 def enumerate_subspaces(field, N: int, r: int):
@@ -255,23 +271,32 @@ def span_ranks(field, bases: np.ndarray, l: int, m: int) -> np.ndarray:
 
     Every element is built and eliminated, so this serves single bases
     whose span may lie in a space far past any ``rank_table``; searches
-    over many subspaces read ``span_rank_batches`` instead.
+    over many subspaces read ``span_rank_batches`` instead.  The elements
+    are built a block of coefficient vectors at a time, at most
+    ``_kernels._RANK_CHUNK`` entries (or one vector for a wider stack).
     """
-    S, r, _ = bases.shape
-    elems = gf_matmul(field, coeff_vectors(field, r), bases)
-    return rank_batch(field, elems.reshape(-1, l, m)).reshape(S, field.q**r)
+    S, r, N = bases.shape
+    q = field.q
+    out = np.empty((S, q**r), dtype=np.int64)
+    per = max(1, _kernels._RANK_CHUNK // max(1, S * N))  # coefficient vectors per block
+    for lo in range(0, q**r, per):
+        hi = min(lo + per, q**r)
+        elems = gf_matmul(field, _base_q_digits(np.arange(lo, hi, dtype=np.int64), q, r), bases)
+        out[:, lo:hi] = rank_batch(field, elems.reshape(-1, l, m)).reshape(S, hi - lo)
+    return out
 
 
 def span_indices(field, bases: np.ndarray) -> np.ndarray:
     """(S, q^r) base-q values of the elements spanned by each basis of an
-    (S, r, N) stack, in ``coeff_vectors`` order; for N = l*m these index
-    ``rank_table``.
+    (S, r, N) stack, in ``coeff_vectors`` order.
 
-    Digit k of the elements of a span is C @ b_k, with C the coefficient
-    vectors and b_k column k of the basis, so it depends on b_k alone.  A
-    stack has at most q^r distinct columns: one product over those gives
-    every digit, and the values are accumulated a digit at a time, most
-    significant first.
+    This serves the walk in ``rank_table``, whose prefix stacks are
+    neither in RREF nor aligned to a pivot profile.  Digit k of the
+    elements of a span is C @ b_k, with C the coefficient vectors and b_k
+    column k of the basis, so it depends on b_k alone.  A stack has at
+    most q^r distinct columns: one product over those gives every digit,
+    and the values are accumulated a digit at a time, most significant
+    first.
     """
     S, r, N = bases.shape
     q = field.q
@@ -288,6 +313,36 @@ def span_indices(field, bases: np.ndarray) -> np.ndarray:
     return out
 
 
+def _block_layout(q: int, N: int, r: int, slots, b: int):
+    """How ``span_rank_batches`` sums the span values of an aligned block
+    of q^b bases of one pivot profile with free ``slots``.
+
+    Returns (cols, fill, nfixed, pieces).  Row k of the column vectors is
+    column cols[k] of the block's first basis plus fill[k].  The first
+    nfixed rows are the columns that hold none of the last b slots.  Each
+    piece (lo, hi, shape) covers the rows of one column j that holds g of
+    them: its q^g fillings, whose digits form a table of broadcast
+    ``shape``, q on the axes of those slots, 1 on the other b axes, then
+    q^r.
+    """
+    tail = slots[len(slots) - b :]
+    tail_cols = sorted({j for _, j in tail})
+    cols = [j for j in range(N) if j not in tail_cols]
+    fills = [np.zeros((len(cols), r), dtype=np.int64)]
+    nfixed, pieces = len(cols), []
+    for j in tail_cols:
+        axes = [k for k, (_, jk) in enumerate(tail) if jk == j]
+        fill = np.zeros((q ** len(axes), r), dtype=np.int64)
+        fill[:, [tail[k][0] for k in axes]] = _base_q_digits(
+            np.arange(q ** len(axes), dtype=np.int64), q, len(axes)
+        )
+        pieces.append((len(cols), len(cols) + len(fill),
+                       [q if k in axes else 1 for k in range(b)] + [q**r]))
+        cols += [j] * len(fill)
+        fills.append(fill)
+    return np.array(cols, dtype=np.int64), np.concatenate(fills), nfixed, pieces
+
+
 def span_rank_batches(field, l: int, m: int, r: int):
     """Yield (bases, ranks) over every r-dimensional subspace of the l x m
     matrix space, in ``subspace_batches`` order: (S, r, l*m) RREF bases
@@ -296,17 +351,43 @@ def span_rank_batches(field, l: int, m: int, r: int):
 
     Ranks are read from one ``rank_table`` built for the call, so a
     space past ``MATRIX_SPACE_BUDGET`` raises the walk's budget error.
-    Each stack holds at most ``_kernels._RANK_CHUNK`` span elements (one
-    basis when q^r is larger).
+    Each stack of ``subspace_batches`` is cut into aligned blocks of q^b
+    bases, the largest with q^b * q^r <= ``_kernels._RANK_CHUNK`` that
+    divides the stack (b = 0, one basis, when q^r alone exceeds the
+    chunk); a block is what is yielded.
+
+    The value of span element c is sum_j q^(N-1-j) * (c @ b_j), with b_j
+    column j of the basis: its digits sit in distinct places, so the sum
+    is exact integer addition with no carries, and digit j depends on
+    column j alone.  The bases of a block share every entry but the last
+    b free slots, which run over all their fillings and are zero in the
+    block's first basis.  So the block's values are one vector, from the
+    columns that hold no such slot, plus, for each column that holds g
+    of them, a (q^g, q^r) table of its digits over their fillings,
+    broadcast over those slots' axes of a (q,)*b + (q^r,) array: row
+    major, a column's slots come in increasing axis order.
     """
-    table = None
-    per = max(1, _kernels._RANK_CHUNK // field.q**r)  # bases per stack
-    for batch in subspace_batches(field, l * m, r):
+    q, N = field.q, l * m
+    C = coeff_vectors(field, r)
+    b_max = max(0, _max_power(q, _kernels._RANK_CHUNK) - r)
+    table, profile = None, None
+    for stack in subspace_batches(field, N, r):
         if table is None:  # after the subspace budget's check
             table = rank_table(field, l, m)
-        for lo in range(0, len(batch), per):
-            bases = batch[lo : lo + per]
-            yield bases, table[span_indices(field, bases)]
+        pivots = tuple((stack[0] != 0).argmax(axis=1).tolist())  # read off the RREF
+        if pivots != profile:
+            profile, slots = pivots, _profile_free_slots(N, pivots)
+            b = min(b_max, _max_power(q, len(stack)))  # a stack holds a power of q
+            cols, fill, nfixed, pieces = _block_layout(q, N, r, slots, b)
+            place = q ** (N - 1 - cols)
+        for lo in range(0, len(stack), q**b):
+            bases = stack[lo : lo + q**b]
+            digits = gf_matmul(field, bases[0].T[cols] + fill, C.T)
+            digits *= place[:, None]
+            values = digits[:nfixed].sum(axis=0)
+            for lo_j, hi_j, shape in pieces:
+                values = values + digits[lo_j:hi_j].reshape(shape)
+            yield bases, table[values.reshape(len(bases), q**r)]
 
 
 def format_matrix(M) -> str:

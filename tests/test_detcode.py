@@ -395,20 +395,24 @@ def test_searches_match_the_elimination_path(p, e, l, m, r):
 
 
 def test_searches_read_at_most_one_chunk_of_span_elements(f2, monkeypatch):
-    expected = {r: _searches(f2, 2, 3, r) for r in (1, 3, 4)}
-    sizes = []
-    span_indices = matq.span_indices
+    # at r = 5, q^r = 32 exceeds the chunk, so each block is one basis
+    expected = {r: _searches(f2, 2, 3, r) for r in (1, 3, 4, 5)}
+    blocks = []
+    real = matq.span_rank_batches
 
-    def spy(field, bases):
-        sizes.append(bases.shape[0] * field.q ** bases.shape[1])
-        return span_indices(field, bases)
+    def spy(field, l, m, r):
+        for bases, ranks in real(field, l, m, r):
+            assert ranks.shape == (len(bases), field.q**r)
+            blocks.append((len(bases), ranks.size))
+            yield bases, ranks
 
-    monkeypatch.setattr(matq, "span_indices", spy)
+    monkeypatch.setattr(matq, "span_rank_batches", spy)
     monkeypatch.setattr(_kernels, "_RANK_CHUNK", 20)
     for r, want in expected.items():
-        sizes.clear()
+        blocks.clear()
         assert _searches(f2, 2, 3, r) == want
-        assert sizes and max(sizes) <= 20
+        assert blocks and all(size <= 20 or n == 1 for n, size in blocks)
+    assert blocks == [(1, 32)] * len(blocks)
 
 
 def test_search_past_the_walk_budget_names_it(f2, monkeypatch):

@@ -464,6 +464,71 @@ def test_enumerate_subspaces_gaussian_binomial(q, N, r):
     assert len(seen) == len(subs)
 
 
+def _reference_subspaces(q, N, r):
+    """Every r-dim RREF basis of GF(q)^N, profiles lexicographic, free
+    slots filled by base-q digits, the first slot most significant."""
+    for profile in itertools.combinations(range(N), r):
+        slots = [(i, j) for i, c in enumerate(profile) for j in range(c + 1, N) if j not in profile]
+        bases = np.zeros((q ** len(slots), r, N), dtype=np.int64)
+        bases[:, range(r), profile] = 1
+        for k, (i, j) in enumerate(slots):
+            bases[:, i, j] = np.arange(len(bases)) // q ** (len(slots) - 1 - k) % q
+        yield from bases
+
+
+@pytest.mark.parametrize(
+    "p,e,N,r,batch",
+    [(2, 1, 6, 3, 100), (3, 1, 5, 2, 100), (2, 2, 4, 2, 100), (5, 1, 4, 2, 100),
+     (2, 1, 5, 5, 100), (3, 1, 4, 0, 100), (3, 1, 6, 3, matq._SUBSPACE_BATCH)],
+)
+def test_subspace_stacks_are_aligned_powers_of_q(p, e, N, r, batch, monkeypatch):
+    # at the default batch, 4096 is no power of 3: the stacks hold 3^7 = 2187
+    monkeypatch.setattr(matq, "_SUBSPACE_BATCH", batch)
+    f = make_field(p, e)
+    q = f.q
+    S = max(s for s in range(13) if q**s <= batch)
+    stacks = list(matq.subspace_batches(f, N, r))
+    for stack in stacks:
+        pivots = (stack[0] != 0).argmax(axis=1)
+        slots = matq._profile_free_slots(N, pivots.tolist())
+        si, sj = np.array(slots, dtype=np.int64).reshape(-1, 2).T
+        fillings = stack[:, si, sj] @ q ** np.arange(len(slots) - 1, -1, -1)
+        size = q ** min(S, len(slots))
+        assert len(stack) == size and fillings[0] % size == 0
+        assert fillings.tolist() == list(range(fillings[0], fillings[0] + size))
+    assert any(len(stack) == q**S for stack in stacks) or r in (0, N)
+    assert np.array_equal(np.concatenate(stacks), np.array(list(_reference_subspaces(q, N, r))))
+
+
+def _elimination_stream(field, l, m, r):
+    """(bases, ranks) of every r-dim subspace: bases in reference order,
+    every span element eliminated by ``span_ranks``."""
+    bases = np.array(list(_reference_subspaces(field.q, l * m, r)))
+    return bases, matq.span_ranks(field, bases, l, m)
+
+
+# (p, e, l, m, dimensions): q^r > 7 for every r >= 3 (GF(2)), 2 (GF(3),
+# GF(4), GF(5)) and 1 (GF(9)), so the 7-entry chunk reads single bases;
+# r = l*m has one profile and it holds no free slot.
+SEARCH_SPACES = [(2, 1, 2, 3, range(1, 7)), (3, 1, 2, 2, range(1, 5)),
+                 (2, 2, 2, 2, range(1, 5)), (5, 1, 2, 2, range(1, 5)), (3, 2, 2, 2, (1, 4))]
+
+
+@pytest.mark.parametrize("p,e,l,m,dims", SEARCH_SPACES)
+def test_span_rank_batches_match_elimination_at_chunk_boundaries(p, e, l, m, dims, monkeypatch):
+    f = make_field(p, e)
+    want = {r: _elimination_stream(f, l, m, r) for r in dims}
+    # with 8-basis stacks, a block of the default chunk is a whole stack
+    for chunk, batch in itertools.product((7, 20, _kernels._RANK_CHUNK), (8, matq._SUBSPACE_BATCH)):
+        monkeypatch.setattr(_kernels, "_RANK_CHUNK", chunk)
+        monkeypatch.setattr(matq, "_SUBSPACE_BATCH", batch)
+        for r, (bases, ranks) in want.items():
+            blocks = list(matq.span_rank_batches(f, l, m, r))
+            assert all(got.size <= chunk or len(b) == 1 for b, got in blocks)
+            assert np.array_equal(np.concatenate([b for b, _ in blocks]), bases)
+            assert np.array_equal(np.concatenate([got for _, got in blocks]), ranks)
+
+
 def test_rank_invariant_under_normal_form_factors(f3):
     rng = np.random.default_rng(3)
     for _ in range(20):

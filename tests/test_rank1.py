@@ -2,11 +2,12 @@
 rank-1 counting in linear spaces of matrices."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from detcodes import gf, matq, rank1
+from detcodes import _kernels, gf, matq, rank1
 from detcodes.counting import rank1_bound
 from detcodes.errors import BadParameters, EquationViolated, NotRankOne
 
@@ -142,6 +143,23 @@ def test_empty_basis_spans_only_the_zero_vector(f2):
     zero = matq.span_vectors(f2, np.zeros((0, 5), dtype=np.int64))
     assert zero.tolist() == [[0, 0, 0, 0, 0]]
     assert rank1.count_rank1(f2, np.zeros((0, 4), dtype=np.int64), 2, 2) == 0
+
+
+@pytest.mark.parametrize("chunk,limit_mib", [(4096, 1.0), (1 << 16, 3.4)])
+def test_count_rank1_streams_its_span(f3, chunk, limit_mib, monkeypatch):
+    # The q=3 3x3 full space spans 19,683 elements; built at once as int64
+    # they peaked 2.7 MiB at the 4096-entry chunk and 3.77 MiB at the
+    # default, where one elimination chunk's temporaries are most of it.
+    monkeypatch.setattr(_kernels, "_RANK_CHUNK", chunk)
+    f3.tables, f3.inverses
+    tracemalloc.start()
+    try:
+        count = rank1.count_rank1(f3, np.eye(9, dtype=np.int64), 3, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 338  # (3^3 - 1)^2 / 2 rank-1 matrices
+    assert peak < limit_mib * 2**20
 
 
 def test_classify_space_row_and_col(f2, f3):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-_RANK_CHUNK = 1 << 16  # entries per rank_batch elimination, rank_table block and domain chunk
+_RANK_CHUNK = 1 << 16  # entries per elimination, rank_table block, domain chunk, naive XOR block
 
 
 def row_reduce(field, w: np.ndarray) -> np.ndarray:

@@ -14,10 +14,22 @@ import json
 import sys
 
 from . import counting, detcode, formulas, matq, rank1
-from .errors import BudgetExceeded, DetcodeError
+from .errors import BadParameters, BudgetExceeded, DetcodeError
 from .gf import parse_q
 
 BRUTE_GHW_COST_CAP = 2_000_000  # subspaces x span size before brute is skipped
+
+
+def _write(args, text: str) -> None:
+    """Write text to ``--out`` if given, else to stdout."""
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise BadParameters(f"cannot write --out {args.out}: {exc.strerror}") from None
 
 
 def _emit(args, payload: dict, table_lines: list[str]) -> None:
@@ -25,11 +37,7 @@ def _emit(args, payload: dict, table_lines: list[str]) -> None:
         text = json.dumps(payload, indent=2)
     else:
         text = "\n".join(table_lines)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(args, text + "\n")
 
 
 def _length(field, l, m, t, mode) -> int:
@@ -78,10 +86,14 @@ def cmd_spectrum(args) -> int:
 def _parse_r_range(text: str, rmax: int) -> list[int]:
     if text is None:
         return list(range(1, rmax + 1))
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    lo, sep, hi = text.partition("..")
+    try:
+        lo, hi = int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise BadParameters(f"--r must be an integer or a range lo..hi, got {text!r}") from None
+    if hi < lo:
+        raise BadParameters(f"--r range {text!r} is empty")
+    return list(range(lo, hi + 1))
 
 
 def _brute_ghw_feasible(field, l, m, r) -> bool:
@@ -159,12 +171,7 @@ def cmd_count(args) -> int:
 def cmd_genmat(args) -> int:
     field = parse_q(args.q)
     dom = detcode.make_domain(field, args.l, args.m, args.t, args.mode)
-    text = detcode.export_generator(dom)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, detcode.export_generator(dom))
     return 0
 
 

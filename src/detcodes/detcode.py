@@ -140,6 +140,17 @@ def brute_weight_enumerator(field, l, m, t, mode) -> SpectrumReport:
     return _spectrum_from(mode, counts)
 
 
+def _bit_planes(words: np.ndarray, planes: int, width: int) -> np.ndarray:
+    """(planes, rows, width) uint64: plane j packs bit j of the element
+    index at every coordinate of the (rows, n) words, zero-padded to
+    ``width`` 64-bit words."""
+    rows, n = words.shape
+    out = np.zeros((planes, rows, 8 * width), dtype=np.uint8)
+    for j in range(planes):
+        out[j, :, : -(-n // 8)] = np.packbits(words & (1 << j), axis=1)  # nonzero packs as 1
+    return out.view(np.uint64)
+
+
 def naive_weight_enumerator(field, l, m, t, mode) -> SpectrumReport:
     """Fully naive oracle: evaluate every form over the whole domain.
 
@@ -150,7 +161,20 @@ def naive_weight_enumerator(field, l, m, t, mode) -> SpectrumReport:
     does -b, and A[a] + B[-b] = A[a] - B[b] is zero exactly where the two
     rows are equal.  So the weights of all q^k codewords are the Hamming
     distances between every head row and every tail row: one table of
-    tails, then one distance count per head.  Nothing is ranked.
+    tails, then one distance histogram per head.
+
+    One head per scalar class: for c != 0, A[c*a] = c*A[a] and B is
+    linear, so the distance from A[c*a] to B[b] is the distance from A[a]
+    to B[c^-1 * b], and c^-1 * b runs over all tails as b does.  So c*a
+    and a have the same histogram.  Every nonzero head is c*a for exactly
+    one c and one head a whose first nonzero digit is element 1; the
+    oracle counts the zero head once and each of those heads q - 1 times.
+
+    A coordinate differs iff some bit of its element index differs.  The
+    rows are packed into bit_length(q - 1) bit planes of 64-bit words, and
+    a distance is the popcount of the planes' XORs, ORed together.  Heads
+    go in blocks of at most ``_kernels._RANK_CHUNK`` XOR words.  Nothing
+    is ranked.
     """
     dom = make_domain(field, l, m, t, mode)
     q, k, n = field.q, l * m, len(dom)
@@ -162,11 +186,26 @@ def naive_weight_enumerator(field, l, m, t, mode) -> SpectrumReport:
         )
     h = k // 2
     gen = generator_matrix(dom)
+    small = np.min_scalar_type(q - 1)
     tails = gf_matmul(field, matq._base_q_digits(np.arange(q**h), q, h), gen[k - h :])
+    tails = tails.astype(small)
+    planes, width = (q - 1).bit_length(), -(-n // 64)
+    tail_planes = _bit_planes(tails, planes, width)
+    zero_head = np.bincount(np.count_nonzero(tails, axis=1), minlength=n + 1)
+    heads = matq._base_q_digits(np.arange(q ** (k - h)), q, k - h)
+    lead = heads[np.arange(len(heads)), (heads != 0).argmax(axis=1)]
+    heads = heads[lead == 1]
+    per = max(1, _kernels._RANK_CHUNK // (q**h * width))
     counts = np.zeros(n + 1, dtype=np.int64)
-    for head in matq._base_q_digits(np.arange(q ** (k - h)), q, k - h):
-        word = gf_matmul(field, head[None], gen[: k - h])
-        counts += np.bincount(np.count_nonzero(tails != word, axis=1), minlength=n + 1)
+    for lo in range(0, len(heads), per):
+        words = gf_matmul(field, heads[lo : lo + per], gen[: k - h]).astype(small)
+        head_planes = _bit_planes(words, planes, width)
+        diff = head_planes[0][:, None] ^ tail_planes[0]
+        for j in range(1, planes):
+            diff |= head_planes[j][:, None] ^ tail_planes[j]
+        dist = np.bitwise_count(diff).sum(axis=2, dtype=np.int64)
+        counts += np.bincount(dist.ravel(), minlength=n + 1)
+    counts = (q - 1) * counts + zero_head
     return _spectrum_from(mode, dict(enumerate(counts.tolist())))
 
 

@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -156,6 +157,16 @@ def test_ghw_affine_scaling_and_range(capsys):
     )
     rows = {row["r"]: row for row in json.loads(out)["ghw"]}
     assert rows[1]["value"] == "18"  # (3-1) * 9
+
+
+@pytest.mark.parametrize("r", ["abc", "1..x", "3..1"])
+def test_ghw_bad_r_is_a_parameter_error(r, capsys):
+    code, out, err = run(
+        ["ghw", "--q", "2", "--l", "2", "--m", "2", "--t", "1", "--r", r], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parameter error:") and err.count("\n") == 1
 
 
 def test_ghw_requires_t1(capsys):
@@ -469,9 +480,13 @@ def test_cli_exits_with_a_code_and_never_raises(cmd, q, l, m, t, mode):
     argv = cmd + ["--q", str(q), "--l", str(l), "--m", str(m), "--t", str(t)]
     if cmd != ["count"]:  # count takes no mode
         argv += ["--mode", mode]
+    start = time.perf_counter()
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         code = cli.dispatch(argv)
     assert code in (0, 1, 2, 3)
+    # a request that passes the budget checks must also finish: the
+    # slowest of these, verify q=4 2x3 t=1, takes about half a second
+    assert time.perf_counter() - start < 10
 
 
 def test_exit_code_budget(capsys):
@@ -509,6 +524,19 @@ def test_out_file_writing(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out_file.read_text())
     assert payload["match"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["rank1max", "--q", "2", "--l", "2", "--m", "2", "--r", "3"],
+    ["genmat", "--q", "2", "--l", "2", "--m", "2", "--t", "1"],
+])
+def test_out_into_a_missing_directory_is_a_parameter_error(argv, tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(argv + ["--out", str(target)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parameter error: cannot write --out") and err.count("\n") == 1
+    assert not target.parent.exists()
 
 
 def test_console_entry_point():

@@ -126,7 +126,11 @@ def _small_codes(draw):
 @example(code=(3, 1, 3, 1, "affine"))  # odd k: the head is the longer half
 @example(code=(2, 3, 3, 2, "projective"))
 @example(code=(8, 1, 3, 1, "affine"))
-@example(code=(9, 2, 2, 1, "projective"))
+@example(code=(9, 2, 2, 1, "projective"))  # 4 bit planes, 8 scalar classes
+@example(code=(997, 1, 1, 1, "affine"))  # 10 bit planes of uint16 values
+@example(code=(2, 1, 6, 1, "affine"))  # n = 64: one full 64-bit word
+@example(code=(2, 1, 6, 1, "projective"))  # n = 63: one bit short of a word
+@example(code=(5, 2, 2, 2, "affine"))  # 3 bit planes, 4 scalar classes
 def test_naive_enumerator_matches_the_per_form_product(code):
     q, l, m, t, mode = code
     field = parse_q(str(q))

@@ -17,7 +17,13 @@ from . import counting, detcode, formulas, matq, rank1
 from .errors import BadParameters, BudgetExceeded, DetcodeError
 from .gf import parse_q
 
-BRUTE_GHW_COST_CAP = 2_000_000  # subspaces x span size before brute is skipped
+# Subspaces x span size before brute is skipped.  It prices the full
+# search, [l*m, r]_q subspaces, on purpose: the searches visit only the
+# spaces that contain some E_j, and pricing those would run 17 more
+# checks on the benchmark's verify grid (up to about 20M more span
+# elements) and leave 22 of its 39 SKIP lines, changing what that
+# workload measures.
+BRUTE_GHW_COST_CAP = 2_000_000
 
 
 def _write(args, text: str) -> None:

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from . import _kernels, matq
+from . import _kernels, counting, matq
 from ._kernels import gf_matmul
 from .counting import _exact_div
 from .errors import BadParameters, BudgetExceeded, ShapeMismatch
@@ -233,20 +234,33 @@ def support_weight(dom: EvaluationDomain, basis) -> int:
 
 
 def _subspace_supports(dom: EvaluationDomain, r: int):
-    """Yield the support weights of every r-dimensional subcode, one stack
-    at a time, via rank grouping."""
+    """Yield (j, ranks, supports) over the r-dimensional subcodes that
+    contain E_j, for j = 1..l in turn, one block at a time: the ranks of
+    their span elements and their support weights, via rank grouping.
+
+    G = GL_l x GL_m acts on the forms by F -> A F B^T.  It keeps ranks,
+    so it keeps codeword weights and support weights, and it is
+    transitive on each rank class.  Every nonzero subcode holds a form of
+    some rank j, and some g in G maps that form to E_j; so these
+    subcodes stand for all of them.
+    """
     q = dom.field.q
     wt = np.array(weight_table(dom), dtype=np.int64)
     denom = q**r - q ** (r - 1)
-    for _, ranks in matq.span_rank_batches(dom.field, dom.l, dom.m, r):
+    for j, _, ranks in matq.span_rank_batches(dom.field, dom.l, dom.m, r, range(1, dom.l + 1)):
         sums = wt[ranks].sum(axis=1)
         if (sums % denom).any():
             raise AssertionError("support-weight sum not divisible; implementation bug")
-        yield sums // denom
+        yield j, ranks, sums // denom
 
 
 def brute_ghw(field, l, m, t, mode, r, prune: bool = True) -> int:
-    """r-th generalized Hamming weight by exhaustive subcode search."""
+    """r-th generalized Hamming weight by exhaustive subcode search.
+
+    d_r = min_j min{wt(D) : E_j in D}, one search per rank j = 1..l (see
+    ``_subspace_supports``), j = 1 first.  With ``prune`` the search
+    stops once it meets the Griesmer-Wei bound.
+    """
     from .formulas import griesmer_wei  # local import to avoid a cycle
 
     if not 1 <= r <= l * m:
@@ -256,7 +270,7 @@ def brute_ghw(field, l, m, t, mode, r, prune: bool = True) -> int:
     d1 = min(wt[1:])
     floor = griesmer_wei(d1, r, field.q)
     best = None
-    for supports in _subspace_supports(dom, r):
+    for _, _, supports in _subspace_supports(dom, r):
         lo = int(supports.min())
         if best is None or lo < best:
             best = lo
@@ -266,15 +280,34 @@ def brute_ghw(field, l, m, t, mode, r, prune: bool = True) -> int:
 
 
 def subcode_spectrum(field, l, m, t, mode, r) -> dict[int, int]:
-    """Histogram: support weight -> number of r-dimensional subcodes."""
+    """Histogram: support weight -> number of r-dimensional subcodes.
+
+    Let j(D) be the least rank of a nonzero form in D, and k_j(D) the
+    number of rank-j forms in D.  Each D is counted once for each of its
+    k_j(D) forms F of rank j = j(D); G is transitive on the mu_j forms of
+    rank j, so every F sees what E_j sees (``_subspace_supports``):
+
+        A_w = sum_j mu_j * sum_{D ∋ E_j, j(D) = j, wt(D) = w} 1 / k_j(D).
+
+    The sums are exact fractions, and each total is asserted integral.
+    """
     if not 1 <= r <= l * m:
         raise BadParameters(f"subcode dimension r={r} not in [1, {l * m}]")
     dom = make_domain(field, l, m, t, mode)
-    counts: Counter[int] = Counter()
-    for supports in _subspace_supports(dom, r):
-        for w, c in zip(*np.unique(supports, return_counts=True)):
-            counts[int(w)] += int(c)
-    return dict(sorted(counts.items()))
+    q = field.q
+    seen: Counter[tuple[int, int, int]] = Counter()  # (j, w, k_j) -> subcodes
+    for j, ranks, supports in _subspace_supports(dom, r):
+        least = ~((ranks > 0) & (ranks < j)).any(axis=1)  # j(D) = j
+        k = (ranks[least] == j).sum(axis=1)
+        keys, counts = np.unique(supports[least] * q**r + k, return_counts=True)
+        for key, c in zip(keys.tolist(), counts.tolist()):
+            w, kj = divmod(key, q**r)
+            seen[j, w, kj] += c
+    totals: dict[int, Fraction] = {}
+    for (j, w, k), c in seen.items():
+        totals[w] = totals.get(w, 0) + Fraction(counting.mu(l, m, j, q) * c, k)
+    assert all(a.denominator == 1 for a in totals.values()), ("non-integral count", totals)
+    return {w: int(a) for w, a in sorted(totals.items())}
 
 
 def export_generator(dom: EvaluationDomain) -> str:

@@ -343,51 +343,76 @@ def _block_layout(q: int, N: int, r: int, slots, b: int):
     return np.array(cols, dtype=np.int64), np.concatenate(fills), nfixed, pieces
 
 
-def span_rank_batches(field, l: int, m: int, r: int):
-    """Yield (bases, ranks) over every r-dimensional subspace of the l x m
-    matrix space, in ``subspace_batches`` order: (S, r, l*m) RREF bases
-    and the (S, q^r) uint8 ranks of their span elements, in
-    ``coeff_vectors`` order.
+def span_rank_batches(field, l: int, m: int, r: int, js):
+    """Yield (j, bases, ranks) over the r-dimensional subspaces of the
+    l x m matrix space that contain E_j = diag(1, ..., 1, 0, ...) of rank
+    j, for each j of ``js`` in turn: (S, r, l*m) bases and the (S, q^r)
+    uint8 ranks of their span elements, in ``coeff_vectors`` order.
+
+    E_j has a 1 at position 0.  Write W for the matrices with a 0 there;
+    D -> D & W is a bijection from the r-spaces that contain E_j onto
+    the (r-1)-spaces of W.  So the bases are [E_j; 0 | R], with R the
+    RREF bases of ``subspace_batches(field, l*m - 1, r - 1)`` behind a
+    zero column, in their order.  For j = 1, E_1 = e_0 and [e_0; 0 | R]
+    is already the RREF of D, in canonical order among the D that
+    contain E_1.  Sum_j [l*m - 1, r - 1]_q subspaces are visited; that
+    count is checked against ``SUBSPACE_BUDGET`` before the walk.
 
     Ranks are read from one ``rank_table`` built for the call, so a
     space past ``MATRIX_SPACE_BUDGET`` raises the walk's budget error.
-    Each stack of ``subspace_batches`` is cut into aligned blocks of q^b
-    bases, the largest with q^b * q^r <= ``_kernels._RANK_CHUNK`` that
-    divides the stack (b = 0, one basis, when q^r alone exceeds the
-    chunk); a block is what is yielded.
+    Each stack is cut into aligned blocks of q^b bases, the largest with
+    q^b * q^r <= ``_kernels._RANK_CHUNK`` that divides the stack (b = 0,
+    one basis, when q^r alone exceeds the chunk); a block is what is
+    yielded.
 
-    The value of span element c is sum_j q^(N-1-j) * (c @ b_j), with b_j
-    column j of the basis: its digits sit in distinct places, so the sum
-    is exact integer addition with no carries, and digit j depends on
-    column j alone.  The bases of a block share every entry but the last
-    b free slots, which run over all their fillings and are zero in the
-    block's first basis.  So the block's values are one vector, from the
-    columns that hold no such slot, plus, for each column that holds g
-    of them, a (q^g, q^r) table of its digits over their fillings,
+    The value of span element c is sum_k q^(N-1-k) * (c @ b_k), with b_k
+    column k of the basis: its digits sit in distinct places, so the sum
+    is exact integer addition with no carries, and digit k depends on
+    column k alone.  The bases of a block share every entry but the last
+    b free slots of R, which run over all their fillings and are zero in
+    the block's first basis.  So the block's values are one vector, from
+    the columns that hold no such slot, plus, for each column that holds
+    g of them, a (q^g, q^r) table of its digits over their fillings,
     broadcast over those slots' axes of a (q,)*b + (q^r,) array: row
-    major, a column's slots come in increasing axis order.
+    major, a column's slots come in increasing axis order.  The row E_j
+    is shared by every basis, so it enters through the first basis like
+    any other shared entry.
     """
     q, N = field.q, l * m
+    if not 1 <= r <= N:
+        raise BadParameters(f"need 1 <= r <= l*m, got r={r}, l*m={N}")
+    total = len(js) * counting.gaussian_binomial(N - 1, r - 1, q)
+    if total > SUBSPACE_BUDGET:
+        raise BudgetExceeded(f"{total} subspaces exceed the budget {SUBSPACE_BUDGET}")
+    table = rank_table(field, l, m)
     C = coeff_vectors(field, r)
     b_max = max(0, _max_power(q, _kernels._RANK_CHUNK) - r)
-    table, profile = None, None
-    for stack in subspace_batches(field, N, r):
-        if table is None:  # after the subspace budget's check
-            table = rank_table(field, l, m)
-        pivots = tuple((stack[0] != 0).argmax(axis=1).tolist())  # read off the RREF
-        if pivots != profile:
-            profile, slots = pivots, _profile_free_slots(N, pivots)
-            b = min(b_max, _max_power(q, len(stack)))  # a stack holds a power of q
-            cols, fill, nfixed, pieces = _block_layout(q, N, r, slots, b)
-            place = q ** (N - 1 - cols)
-        for lo in range(0, len(stack), q**b):
-            bases = stack[lo : lo + q**b]
-            digits = gf_matmul(field, bases[0].T[cols] + fill, C.T)
-            digits *= place[:, None]
-            values = digits[:nfixed].sum(axis=0)
-            for lo_j, hi_j, shape in pieces:
-                values = values + digits[lo_j:hi_j].reshape(shape)
-            yield bases, table[values.reshape(len(bases), q**r)]
+    layouts = {}  # one per pivot profile, shared by every j
+    for j in js:
+        lead = np.zeros(N, dtype=np.int64)
+        lead[: j * (m + 1) : m + 1] = 1  # E_j, row major
+        for stack in subspace_batches(field, N - 1, r - 1):
+            bases = np.zeros((len(stack), r, N), dtype=np.int64)
+            bases[:, 0] = lead
+            bases[:, 1:, 1:] = stack
+            # read off the RREF behind E_j's row, whose pivot is column 0,
+            # so each row has a nonzero entry even when R has no column
+            pivots = tuple((bases[0] != 0).argmax(axis=1).tolist())
+            if pivots not in layouts:
+                R_slots = _profile_free_slots(N - 1, [c - 1 for c in pivots[1:]])
+                b = min(b_max, _max_power(q, len(stack)))  # a stack holds a power of q
+                cols, fill, nfixed, pieces = _block_layout(
+                    q, N, r, [(i + 1, c + 1) for i, c in R_slots], b)
+                layouts[pivots] = b, cols, fill, q ** (N - 1 - cols), nfixed, pieces
+            b, cols, fill, place, nfixed, pieces = layouts[pivots]
+            for lo in range(0, len(stack), q**b):
+                block = bases[lo : lo + q**b]
+                digits = gf_matmul(field, block[0].T[cols] + fill, C.T)
+                digits *= place[:, None]
+                values = digits[:nfixed].sum(axis=0)
+                for lo_k, hi_k, shape in pieces:
+                    values = values + digits[lo_k:hi_k].reshape(shape)
+                yield j, block, table[values.reshape(len(block), q**r)]
 
 
 def format_matrix(M) -> str:

@@ -111,13 +111,21 @@ def classify_space(field, basis, l: int, m: int) -> Rank1SpaceClass:
 
 def max_rank1_exhaustive(field, l: int, m: int, r: int) -> tuple[int, np.ndarray]:
     """Maximum rank-1 count over all r-dimensional subspaces of the l x m
-    matrix space, with the first (canonical-order) maximizing witness.
+    matrix space, with a maximizing witness: the first, in canonical
+    order, of the maximizers that contain E_11.
+
+    A maximizer holds a rank-1 form, and GL_l x GL_m, which keeps rank-1
+    counts, maps it to E_11; so the search visits only the spaces that
+    contain E_11 (``matq.span_rank_batches`` with j = 1), whose bases
+    come as RREFs in canonical order.
     """
     q = field.q
     bound = rank1_bound(r, l, m, q)
+    if r == 0:  # the zero space holds no rank-1 form, and not E_11
+        return 0, np.zeros((0, l * m), dtype=np.int64)
     best = -1
     witness = None
-    for bases, ranks in matq.span_rank_batches(field, l, m, r):
+    for _, bases, ranks in matq.span_rank_batches(field, l, m, r, (1,)):
         counts = (ranks == 1).sum(axis=1)
         i = int(counts.argmax())
         if counts[i] > best:

@@ -310,6 +310,15 @@ def test_verify_battery_passes(capsys):
     assert "OK:" in out
 
 
+@pytest.mark.parametrize("q", ["2", "3"])
+def test_verify_on_a_one_entry_space(capsys, q):
+    # l = m = 1: every search walks the one 0-dimensional subspace of GF(q)^0
+    code, out, _ = run(["verify", "--q", q, "--l", "1", "--m", "1", "--t", "1"], capsys)
+    assert code == 0
+    assert "PASS  higher weights: closed/bounds vs brute, affine transfer" in out
+    assert "OK: 12/12 checks passed, 0 skipped" in out
+
+
 def test_verify_witness_check_fails_on_a_worse_subcode(capsys, monkeypatch):
     # q=2 3x3 r=5 has bounds [38, 40], and the witness must attain 40; this
     # subcode has support weight 42, inside no bound.
@@ -376,13 +385,13 @@ def test_verify_rank1_check_fails_on_a_miscounted_witness(capsys, monkeypatch):
     # witness holds one more rank-1 element than the count it reports.
     real = matq.span_rank_batches
 
-    def one_fewer(field, l, m, r):
-        for bases, ranks in real(field, l, m, r):
+    def one_fewer(field, l, m, r, js):
+        for j, bases, ranks in real(field, l, m, r, js):
             ranks = ranks.copy()
             ones = ranks == 1
             rows = np.flatnonzero(ones.any(axis=1))
             ranks[rows, ones[rows].argmax(axis=1)] = 2
-            yield bases, ranks
+            yield j, bases, ranks
 
     monkeypatch.setattr(matq, "span_rank_batches", one_fewer)
     code, out, _ = run(["verify", "--q", "2", "--l", "2", "--m", "2", "--t", "2"], capsys)

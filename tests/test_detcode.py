@@ -350,26 +350,29 @@ def test_export_generator_format(f2):
     assert (g == detcode.generator_matrix(dom)).all()
 
 
-def _searches(field, l, m, r):
+def _searches(field, l, m, r, t):
     """brute_ghw (both modes, pruned and not), subcode_spectrum (both
     modes) and max_rank1_exhaustive with its witness, as the library
     computes them."""
     out = {}
     for mode in ("projective", "affine"):
-        out["ghw", mode] = [detcode.brute_ghw(field, l, m, 1, mode, r, prune=p) for p in (True, False)]
-        out["spectrum", mode] = detcode.subcode_spectrum(field, l, m, 1, mode, r)
+        out["ghw", mode] = [detcode.brute_ghw(field, l, m, t, mode, r, prune=p) for p in (True, False)]
+        out["spectrum", mode] = detcode.subcode_spectrum(field, l, m, t, mode, r)
     best, witness = rank1.max_rank1_exhaustive(field, l, m, r)
     out["rank1"] = best, witness.tolist()
     return out
 
 
-def _eliminated_searches(field, l, m, r):
-    """The same searches, every span element built and eliminated by
-    ``span_ranks`` instead of read from the rank table."""
+def _eliminated_searches(field, l, m, r, t):
+    """The same searches over every r-dimensional subspace, every span
+    element built and eliminated by ``span_ranks`` instead of read from
+    the rank table.  The rank-1 witness is the first maximizer, in
+    canonical order, that contains E_11: its RREF's first row is e_0."""
     q = field.q
-    wts = {mode: np.array(detcode.weight_table(detcode.make_domain(field, l, m, 1, mode)))
+    wts = {mode: np.array(detcode.weight_table(detcode.make_domain(field, l, m, t, mode)))
            for mode in ("projective", "affine")}
     hists = {mode: Counter() for mode in wts}
+    e0 = np.eye(1, l * m, dtype=np.int64)[0]
     best, witness = -1, None
     for batch in matq.subspace_batches(field, l * m, r):
         ranks = matq.span_ranks(field, batch, l, m)
@@ -377,7 +380,10 @@ def _eliminated_searches(field, l, m, r):
             hists[mode].update((wt[ranks].sum(axis=1) // (q**r - q ** (r - 1))).tolist())
         counts = (ranks == 1).sum(axis=1)
         if counts.max() > best:
-            best, witness = int(counts.max()), batch[int(counts.argmax())].tolist()
+            best, witness = int(counts.max()), None
+        if witness is None:
+            hits = np.flatnonzero((counts == best) & (batch[:, 0] == e0).all(axis=1))
+            witness = batch[hits[0]].tolist() if len(hits) else None
     out = {}
     for mode, hist in hists.items():
         out["ghw", mode] = [min(hist)] * 2
@@ -395,28 +401,90 @@ def _eliminated_searches(field, l, m, r):
 )
 def test_searches_match_the_elimination_path(p, e, l, m, r):
     f = make_field(p, e)
-    assert _searches(f, l, m, r) == _eliminated_searches(f, l, m, r)
+    assert _searches(f, l, m, r, 1) == _eliminated_searches(f, l, m, r, 1)
+
+
+# t = 2 cells.  At t = l = 2 the code is a simplex code, every form has
+# one weight, and each spectrum is one weight held by all [N, r]_q
+# subcodes: the mu_j / k_j weighting must count them all.  q=2 3x3 t=2
+# weighs ranks 1, 2, 3 as 160, 176, 168, not monotone in rank.
+@pytest.mark.parametrize(
+    "p,e,l,m,r",
+    [(2, 1, 2, 3, r) for r in range(1, 7)]
+    + [(2, 2, 2, 2, r) for r in range(1, 5)]
+    + [(2, 1, 3, 3, r) for r in (1, 2)],
+)
+def test_searches_match_the_elimination_path_at_t2(p, e, l, m, r):
+    f = make_field(p, e)
+    assert _searches(f, l, m, r, 2) == _eliminated_searches(f, l, m, r, 2)
 
 
 def test_searches_read_at_most_one_chunk_of_span_elements(f2, monkeypatch):
     # at r = 5, q^r = 32 exceeds the chunk, so each block is one basis
-    expected = {r: _searches(f2, 2, 3, r) for r in (1, 3, 4, 5)}
+    expected = {r: _searches(f2, 2, 3, r, 1) for r in (1, 3, 4, 5)}
     blocks = []
     real = matq.span_rank_batches
 
-    def spy(field, l, m, r):
-        for bases, ranks in real(field, l, m, r):
+    def spy(field, l, m, r, js):
+        for j, bases, ranks in real(field, l, m, r, js):
             assert ranks.shape == (len(bases), field.q**r)
             blocks.append((len(bases), ranks.size))
-            yield bases, ranks
+            yield j, bases, ranks
 
     monkeypatch.setattr(matq, "span_rank_batches", spy)
     monkeypatch.setattr(_kernels, "_RANK_CHUNK", 20)
     for r, want in expected.items():
         blocks.clear()
-        assert _searches(f2, 2, 3, r) == want
+        assert _searches(f2, 2, 3, r, 1) == want
         assert blocks and all(size <= 20 or n == 1 for n, size in blocks)
     assert blocks == [(1, 32)] * len(blocks)
+
+
+@pytest.mark.parametrize("q,l,m,r", [(2, 2, 4, 5), (3, 2, 3, 4), (2, 3, 3, 2), (2, 2, 2, 4)])
+def test_searches_visit_only_the_spaces_that_contain_E_j(q, l, m, r, monkeypatch):
+    # brute_ghw visits [N-1, r-1]_q spaces for each of the l ranks j, and
+    # the rank-1 search those of j = 1 alone
+    f = make_field(q)
+    one_rank = counting.gaussian_binomial(l * m - 1, r - 1, q)
+    calls = []
+    real = matq.subspace_batches
+
+    def spy(field, N, k):
+        calls.append([N, k, 0])
+        for stack in real(field, N, k):
+            calls[-1][2] += len(stack)
+            yield stack
+
+    monkeypatch.setattr(matq, "subspace_batches", spy)
+    detcode.brute_ghw(f, l, m, 1, "projective", r, prune=False)
+    assert calls == [[l * m - 1, r - 1, one_rank]] * l
+    calls.clear()
+    rank1.max_rank1_exhaustive(f, l, m, r)
+    assert calls == [[l * m - 1, r - 1, one_rank]]
+    # the budget counts those spaces, and is checked before any walk
+    monkeypatch.setattr(matq, "SUBSPACE_BUDGET", l * one_rank - 1)
+    monkeypatch.setattr(matq, "rank_table", None)
+    with pytest.raises(BudgetExceeded, match=f"{l * one_rank} subspaces exceed"):
+        detcode.brute_ghw(f, l, m, 1, "projective", r, prune=False)
+
+
+def test_unpruned_q2_3x3_t2_middle_weights():
+    # d_4 and d_5 of the q=2 3x3 t=2 code, as a full search of all
+    # [9, r]_2 subspaces found them; affine weights are (q - 1) times these
+    f = make_field(2)
+    for r, want in ((4, 312), (5, 328)):
+        assert detcode.brute_ghw(f, 3, 3, 2, "projective", r, prune=False) == want
+        assert detcode.brute_ghw(f, 3, 3, 2, "affine", r, prune=False) == (2 - 1) * want
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_searches_on_a_one_entry_space(q):
+    # N = 1: E_1 spans the whole space, and the reduced search walks the
+    # one 0-dimensional subspace of GF(q)^0
+    f = make_field(q)
+    for mode, n in (("projective", 1), ("affine", q - 1)):
+        assert detcode.brute_ghw(f, 1, 1, 1, mode, 1) == n
+        assert detcode.subcode_spectrum(f, 1, 1, 1, mode, 1) == {n: 1}
 
 
 def test_search_past_the_walk_budget_names_it(f2, monkeypatch):

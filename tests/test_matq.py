@@ -500,11 +500,40 @@ def test_subspace_stacks_are_aligned_powers_of_q(p, e, N, r, batch, monkeypatch)
     assert np.array_equal(np.concatenate(stacks), np.array(list(_reference_subspaces(q, N, r))))
 
 
+def _reduced_bases(q, l, m, r, j):
+    """[E_j; 0 | R] for every (r-1)-dim basis R of GF(q)^(l*m - 1), in
+    reference order."""
+    N = l * m
+    reduced = np.array(list(_reference_subspaces(q, N - 1, r - 1)))
+    bases = np.zeros((len(reduced), r, N), dtype=np.int64)
+    bases[:, 0, : j * (m + 1) : m + 1] = 1
+    bases[:, 1:, 1:] = reduced
+    return bases
+
+
 def _elimination_stream(field, l, m, r):
-    """(bases, ranks) of every r-dim subspace: bases in reference order,
-    every span element eliminated by ``span_ranks``."""
-    bases = np.array(list(_reference_subspaces(field.q, l * m, r)))
-    return bases, matq.span_ranks(field, bases, l, m)
+    """(js, bases, ranks) of every r-dim subspace that contains E_j, for
+    j = 1..l in turn: bases in reference order, every span element
+    eliminated by ``span_ranks``."""
+    bases = np.concatenate([_reduced_bases(field.q, l, m, r, j) for j in range(1, l + 1)])
+    js = np.repeat(np.arange(1, l + 1), len(bases) // l)
+    return js, bases, matq.span_ranks(field, bases, l, m)
+
+
+@pytest.mark.parametrize("p,e,l,m", [(2, 1, 2, 3), (3, 1, 2, 2), (2, 2, 2, 2)])
+def test_reduced_bases_are_the_spaces_that_contain_E_j(p, e, l, m):
+    f = make_field(p, e)
+    N = l * m
+    for j in range(1, l + 1):
+        E = np.zeros(N, dtype=np.int64)
+        E[: j * (m + 1) : m + 1] = 1
+        for r in range(1, N + 1):
+            got = [matq.rref(f, B)[0].tolist() for B in _reduced_bases(f.q, l, m, r, j)]
+            want = [B.tolist() for B in _reference_subspaces(f.q, N, r)
+                    if matq.rank(f, np.vstack([B, E])) == r]
+            assert sorted(got) == sorted(want)
+            if j == 1:  # [e_0; 0 | R] is already the RREF, in canonical order
+                assert got == want
 
 
 # (p, e, l, m, dimensions): q^r > 7 for every r >= 3 (GF(2)), 2 (GF(3),
@@ -522,11 +551,12 @@ def test_span_rank_batches_match_elimination_at_chunk_boundaries(p, e, l, m, dim
     for chunk, batch in itertools.product((7, 20, _kernels._RANK_CHUNK), (8, matq._SUBSPACE_BATCH)):
         monkeypatch.setattr(_kernels, "_RANK_CHUNK", chunk)
         monkeypatch.setattr(matq, "_SUBSPACE_BATCH", batch)
-        for r, (bases, ranks) in want.items():
-            blocks = list(matq.span_rank_batches(f, l, m, r))
-            assert all(got.size <= chunk or len(b) == 1 for b, got in blocks)
-            assert np.array_equal(np.concatenate([b for b, _ in blocks]), bases)
-            assert np.array_equal(np.concatenate([got for _, got in blocks]), ranks)
+        for r, (js, bases, ranks) in want.items():
+            blocks = list(matq.span_rank_batches(f, l, m, r, range(1, l + 1)))
+            assert all(got.size <= chunk or len(b) == 1 for _, b, got in blocks)
+            assert np.array_equal(np.concatenate([[j] * len(b) for j, b, _ in blocks]), js)
+            assert np.array_equal(np.concatenate([b for _, b, _ in blocks]), bases)
+            assert np.array_equal(np.concatenate([got for _, _, got in blocks]), ranks)
 
 
 def test_rank_invariant_under_normal_form_factors(f3):

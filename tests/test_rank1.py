@@ -222,6 +222,11 @@ def test_max_rank1_small_dims(f2):
     assert rank1.max_rank1_exhaustive(f2, 2, 3, 3)[0] == 7
 
 
+def test_max_rank1_of_the_zero_space(f2):
+    best, witness = rank1.max_rank1_exhaustive(f2, 2, 2, 0)
+    assert best == 0 and witness.shape == (0, 4)
+
+
 def test_max_rank1_beyond_m(f2, f3):
     # l = m = 2, r = 3 > m: bound is q^2 + q^2 - q - 1.
     best, witness = rank1.max_rank1_exhaustive(f2, 2, 2, 3)

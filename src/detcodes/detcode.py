@@ -19,6 +19,7 @@ from . import _kernels, counting, matq
 from ._kernels import gf_matmul
 from .counting import _exact_div
 from .errors import BadParameters, BudgetExceeded, ShapeMismatch
+from .formulas import griesmer_wei
 
 NAIVE_COST_BUDGET = 200_000_000  # forms x domain points for the naive path
 
@@ -254,24 +255,41 @@ def _subspace_supports(dom: EvaluationDomain, r: int):
         yield j, ranks, sums // denom
 
 
+def _ghw_floor(dom: EvaluationDomain, r: int) -> int:
+    """A proven lower bound on d_r, read off the domain and its weights.
+
+    Griesmer-Wei: d_r >= sum_{i<r} ceil(d_1 / q^i) for any linear code.
+    Duality: a point outside supp(D) is killed by every form of D, so it
+    lies in D^perp, of dimension N - r (N = l*m).  Distinct points are
+    distinct matrices, or in projective mode distinct lines, so at most
+    c(N - r) of them miss the support: d_r >= n - c(N - r), with
+    c(s) = q^s affine and (q^s - 1)/(q - 1) projective.
+    """
+    q, N = dom.field.q, dom.l * dom.m
+    missed = q ** (N - r) if dom.mode == "affine" else (q ** (N - r) - 1) // (q - 1)
+    return max(griesmer_wei(min(weight_table(dom)[1:]), r, q), len(dom) - missed)
+
+
 def brute_ghw(field, l, m, t, mode, r, prune: bool = True) -> int:
     """r-th generalized Hamming weight by exhaustive subcode search.
 
     d_r = min_j min{wt(D) : E_j in D}, one search per rank j = 1..l (see
-    ``_subspace_supports``), j = 1 first.  With ``prune`` the search
-    stops once it meets the Griesmer-Wei bound.
+    ``_subspace_supports``), j = 1 first.  Every support weight is
+    checked against the proven floor of ``_ghw_floor`` (the Griesmer-Wei
+    bound, or n minus the points of a dual space), and one below it
+    raises AssertionError.  With ``prune`` the search stops at the first
+    block that meets the floor, since no subcode can go lower; without
+    it, every subcode is visited, which is the tests' oracle.
     """
-    from .formulas import griesmer_wei  # local import to avoid a cycle
-
     if not 1 <= r <= l * m:
         raise BadParameters(f"subcode dimension r={r} not in [1, {l * m}]")
     dom = make_domain(field, l, m, t, mode)
-    wt = weight_table(dom)
-    d1 = min(wt[1:])
-    floor = griesmer_wei(d1, r, field.q)
+    floor = _ghw_floor(dom, r)
     best = None
     for _, _, supports in _subspace_supports(dom, r):
         lo = int(supports.min())
+        if lo < floor:
+            raise AssertionError(f"support weight {lo} below the proven floor {floor}")
         if best is None or lo < best:
             best = lo
         if prune and best == floor:

@@ -363,7 +363,8 @@ def span_rank_batches(field, l: int, m: int, r: int, js):
     Each stack is cut into aligned blocks of q^b bases, the largest with
     q^b * q^r <= ``_kernels._RANK_CHUNK`` that divides the stack (b = 0,
     one basis, when q^r alone exceeds the chunk); a block is what is
-    yielded.
+    yielded, and its bases are built only when it is reached, so a
+    search that stops early copies no more of the stack.
 
     The value of span element c is sum_k q^(N-1-k) * (c @ b_k), with b_k
     column k of the basis: its digits sit in distinct places, so the sum
@@ -392,21 +393,18 @@ def span_rank_batches(field, l: int, m: int, r: int, js):
         lead = np.zeros(N, dtype=np.int64)
         lead[: j * (m + 1) : m + 1] = 1  # E_j, row major
         for stack in subspace_batches(field, N - 1, r - 1):
-            bases = np.zeros((len(stack), r, N), dtype=np.int64)
-            bases[:, 0] = lead
-            bases[:, 1:, 1:] = stack
-            # read off the RREF behind E_j's row, whose pivot is column 0,
-            # so each row has a nonzero entry even when R has no column
-            pivots = tuple((bases[0] != 0).argmax(axis=1).tolist())
-            if pivots not in layouts:
-                R_slots = _profile_free_slots(N - 1, [c - 1 for c in pivots[1:]])
+            profile = tuple(int(np.flatnonzero(row)[0]) for row in stack[0])  # R's pivots
+            if profile not in layouts:
+                R_slots = _profile_free_slots(N - 1, profile)
                 b = min(b_max, _max_power(q, len(stack)))  # a stack holds a power of q
                 cols, fill, nfixed, pieces = _block_layout(
                     q, N, r, [(i + 1, c + 1) for i, c in R_slots], b)
-                layouts[pivots] = b, cols, fill, q ** (N - 1 - cols), nfixed, pieces
-            b, cols, fill, place, nfixed, pieces = layouts[pivots]
+                layouts[profile] = b, cols, fill, q ** (N - 1 - cols), nfixed, pieces
+            b, cols, fill, place, nfixed, pieces = layouts[profile]
             for lo in range(0, len(stack), q**b):
-                block = bases[lo : lo + q**b]
+                block = np.zeros((q**b, r, N), dtype=np.int64)
+                block[:, 0] = lead
+                block[:, 1:, 1:] = stack[lo : lo + q**b]
                 digits = gf_matmul(field, block[0].T[cols] + fill, C.T)
                 digits *= place[:, None]
                 values = digits[:nfixed].sum(axis=0)

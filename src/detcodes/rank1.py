@@ -9,10 +9,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matq
+from . import _kernels, detcode, matq
 from ._kernels import gf_matmul
 from .counting import rank1_bound
 from .errors import BudgetExceeded, EquationViolated, NotRankOne
+from .formulas import griesmer_wei
 
 ELEMENT_BUDGET = 10_000_000
 
@@ -71,11 +72,34 @@ class Rank1SpaceClass:
 
 
 def count_rank1(field, basis, l: int, m: int) -> int:
-    """Exact number of rank-1 elements of the span of the given basis."""
+    """Exact number of rank-1 elements of the span of the given basis.
+
+    A matrix has rank 1 iff it is nonzero and every 2 x 2 minor
+    M_ij M_kh - M_ih M_kj vanishes, so nothing is eliminated: the minors
+    are products mod p in a prime field and ``Field.tables.mul`` lookups
+    in an extension field.  The span is built a block of at most
+    ``_kernels._RANK_CHUNK`` entries (or one element) at a time.
+    """
     basis = matq.as_matrix(basis, field.q)
-    if field.q ** basis.shape[0] > ELEMENT_BUDGET:
-        raise BudgetExceeded(f"q^{basis.shape[0]} elements exceed the budget")
-    return int(np.count_nonzero(matq.span_ranks(field, basis[None], l, m) == 1))
+    q, r = field.q, basis.shape[0]
+    if q**r > ELEMENT_BUDGET:
+        raise BudgetExceeded(f"q^{r} elements exceed the budget")
+    # flat indices of M_ij, M_kh, M_ih, M_kj over rows i < k, columns j < h
+    i, k = (x[:, None] * m for x in np.triu_indices(l, 1))
+    j, h = np.triu_indices(m, 1)
+    a, b, c, d = (x.ravel() for x in (i + j, k + h, i + h, k + j))
+    per = max(1, _kernels._RANK_CHUNK // (l * m))  # span elements per block
+    count = 0
+    for lo in range(0, q**r, per):
+        coeffs = matq._base_q_digits(np.arange(lo, min(lo + per, q**r), dtype=np.int64), q, r)
+        E = gf_matmul(field, coeffs, basis)
+        if field.e == 1:
+            flat = (E[:, a] * E[:, b] - E[:, c] * E[:, d]) % field.p == 0
+        else:
+            mul = field.tables.mul
+            flat = mul[E[:, a], E[:, b]] == mul[E[:, c], E[:, d]]
+        count += int(np.count_nonzero(flat.all(axis=1) & E.any(axis=1)))
+    return count
 
 
 def classify_space(field, basis, l: int, m: int) -> Rank1SpaceClass:
@@ -109,7 +133,27 @@ def classify_space(field, basis, l: int, m: int) -> Rank1SpaceClass:
     return Rank1SpaceClass(tag="col", vector=v0, subspace=ubasis)
 
 
-def max_rank1_exhaustive(field, l: int, m: int, r: int) -> tuple[int, np.ndarray]:
+def _rank1_ceiling(field, l: int, m: int, r: int) -> int:
+    """A proven upper bound on the rank-1 count of an r-dimensional space
+    S of l x m matrices: the least of ``rank1_bound`` and
+    (q - 1) * (n_hat - GW(d_1, N - r)), N = l*m, with n_hat and d_1 read
+    off the t = 1 projective domain and GW the Griesmer-Wei bound (0 at
+    r = N).
+
+    A rank-1 point P lies in S iff every form of S^perp vanishes at P,
+    so S holds n_hat - wt(S^perp) rank-1 points, q - 1 rank-1 matrices
+    each; S^perp is an (N - r)-dimensional subcode of the t = 1 code, so
+    wt(S^perp) >= d_(N-r) >= GW(d_1, N - r).
+    """
+    q, N = field.q, l * m
+    dom = detcode.make_domain(field, l, m, 1, "projective")
+    gw = griesmer_wei(min(detcode.weight_table(dom)[1:]), N - r, q) if r < N else 0
+    return min(rank1_bound(r, l, m, q).max_rank1, (q - 1) * (len(dom) - gw))
+
+
+def max_rank1_exhaustive(
+    field, l: int, m: int, r: int, prune: bool = True
+) -> tuple[int, np.ndarray]:
     """Maximum rank-1 count over all r-dimensional subspaces of the l x m
     matrix space, with a maximizing witness: the first, in canonical
     order, of the maximizers that contain E_11.
@@ -117,21 +161,30 @@ def max_rank1_exhaustive(field, l: int, m: int, r: int) -> tuple[int, np.ndarray
     A maximizer holds a rank-1 form, and GL_l x GL_m, which keeps rank-1
     counts, maps it to E_11; so the search visits only the spaces that
     contain E_11 (``matq.span_rank_batches`` with j = 1), whose bases
-    come as RREFs in canonical order.
+    come as RREFs in canonical order.  Every count is checked against the
+    proven ceiling of ``_rank1_ceiling``, and one above it raises
+    AssertionError.  With ``prune`` the search stops at the first space
+    that reaches the ceiling: no later space can beat it, so that space
+    is the first maximizer.  Without it, every space is visited, which is
+    the tests' oracle.
     """
     q = field.q
     bound = rank1_bound(r, l, m, q)
     if r == 0:  # the zero space holds no rank-1 form, and not E_11
         return 0, np.zeros((0, l * m), dtype=np.int64)
-    best = -1
-    witness = None
+    best, witness, ceiling = -1, None, None
     for _, bases, ranks in matq.span_rank_batches(field, l, m, r, (1,)):
+        if ceiling is None:  # read once the search has passed its budget check
+            ceiling = _rank1_ceiling(field, l, m, r)
         counts = (ranks == 1).sum(axis=1)
         i = int(counts.argmax())
+        if counts[i] > ceiling:
+            raise AssertionError(f"rank-1 count {counts[i]} above the proven ceiling {ceiling}")
         if counts[i] > best:
             best = int(counts[i])
             witness = bases[i].copy()
-    assert best <= bound.max_rank1, "extremal count exceeds the proven bound"
+        if prune and best == ceiling:
+            break
     if not bound.from_coset_argument:
         assert best == q**r - 1, "for r <= m the constant-rank-1 maximum is exact"
     return best, witness

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from detcodes import cli, detcode, formulas, gf, matq
+from detcodes import cli, detcode, formulas, gf, matq, rank1
 
 
 def run(args, capsys):
@@ -399,6 +399,21 @@ def test_verify_rank1_check_fails_on_a_miscounted_witness(capsys, monkeypatch):
     for r in (3, 4):
         assert f"FAIL  rank-1 extremal count within bound (r={r})" in out
     assert sum(line.startswith("FAIL  ") for line in out.splitlines()) == 2
+
+
+def test_verify_reports_a_crossed_search_bound_as_a_failure(capsys, monkeypatch):
+    # bounds one step too tight: the searches raise, and verify reports
+    # each check whose search crossed its bound instead of crashing
+    floor, ceiling = detcode._ghw_floor, rank1._rank1_ceiling
+    monkeypatch.setattr(detcode, "_ghw_floor", lambda dom, r: floor(dom, r) + 1)
+    monkeypatch.setattr(rank1, "_rank1_ceiling", lambda *a: ceiling(*a) - 1)
+    code, out, _ = run(["verify", "--q", "2", "--l", "2", "--m", "2", "--t", "1"], capsys)
+    assert code == 1
+    assert "FAIL  higher weights: closed/bounds vs brute, affine transfer" in out
+    assert "below the proven floor" in out
+    for r in (3, 4):
+        assert f"FAIL  rank-1 extremal count within bound (r={r})  (rank-1 count" in out
+    assert sum(line.startswith("FAIL  ") for line in out.splitlines()) == 3
 
 
 def test_verify_reports_skipped_checks_and_never_counts_them(capsys):

@@ -352,14 +352,16 @@ def test_export_generator_format(f2):
 
 def _searches(field, l, m, r, t):
     """brute_ghw (both modes, pruned and not), subcode_spectrum (both
-    modes) and max_rank1_exhaustive with its witness, as the library
-    computes them."""
+    modes) and max_rank1_exhaustive with its witness (pruned and not), as
+    the library computes them."""
     out = {}
     for mode in ("projective", "affine"):
         out["ghw", mode] = [detcode.brute_ghw(field, l, m, t, mode, r, prune=p) for p in (True, False)]
         out["spectrum", mode] = detcode.subcode_spectrum(field, l, m, t, mode, r)
-    best, witness = rank1.max_rank1_exhaustive(field, l, m, r)
-    out["rank1"] = best, witness.tolist()
+    out["rank1"] = []
+    for p in (True, False):
+        best, witness = rank1.max_rank1_exhaustive(field, l, m, r, prune=p)
+        out["rank1"].append((best, witness.tolist()))
     return out
 
 
@@ -388,7 +390,7 @@ def _eliminated_searches(field, l, m, r, t):
     for mode, hist in hists.items():
         out["ghw", mode] = [min(hist)] * 2
         out["spectrum", mode] = dict(sorted(hist.items()))
-    out["rank1"] = best, witness
+    out["rank1"] = [(best, witness)] * 2
     return out
 
 
@@ -459,13 +461,70 @@ def test_searches_visit_only_the_spaces_that_contain_E_j(q, l, m, r, monkeypatch
     detcode.brute_ghw(f, l, m, 1, "projective", r, prune=False)
     assert calls == [[l * m - 1, r - 1, one_rank]] * l
     calls.clear()
-    rank1.max_rank1_exhaustive(f, l, m, r)
+    rank1.max_rank1_exhaustive(f, l, m, r, prune=False)
     assert calls == [[l * m - 1, r - 1, one_rank]]
     # the budget counts those spaces, and is checked before any walk
     monkeypatch.setattr(matq, "SUBSPACE_BUDGET", l * one_rank - 1)
     monkeypatch.setattr(matq, "rank_table", None)
     with pytest.raises(BudgetExceeded, match=f"{l * one_rank} subspaces exceed"):
         detcode.brute_ghw(f, l, m, 1, "projective", r, prune=False)
+
+
+def test_pruned_searches_stop_in_their_first_stack(f2, monkeypatch):
+    # q=2 2x4 r=5: d_5 = 38 = 45 - 7 meets the dual floor, and 17 rank-1
+    # forms meet the ceiling; both are reached in the first stack of j = 1
+    stacks = []
+    real = matq.subspace_batches
+
+    def spy(field, N, k):
+        for stack in real(field, N, k):
+            stacks.append(len(stack))
+            yield stack
+
+    monkeypatch.setattr(matq, "subspace_batches", spy)
+    assert detcode.brute_ghw(f2, 2, 4, 1, "projective", 5) == 38
+    assert len(stacks) == 1
+    stacks.clear()
+    assert rank1.max_rank1_exhaustive(f2, 2, 4, 5)[0] == 17
+    assert len(stacks) == 1
+
+
+def _bound_cells():
+    """q in {2, 3, 4}, 1 <= l <= m with l*m <= 6, every t and every r."""
+    for p, e in ((2, 1), (3, 1), (2, 2)):
+        for l in range(1, 3):
+            for m in range(l, 6 // l + 1):
+                for r in range(1, l * m + 1):
+                    yield p, e, l, m, r
+
+
+@pytest.mark.parametrize("p,e,l,m,r", list(_bound_cells()))
+def test_proven_bounds_hold_and_pruning_changes_nothing(p, e, l, m, r):
+    f = make_field(p, e)
+    for t in range(1, l + 1):
+        for mode in ("projective", "affine"):
+            d_r = detcode.brute_ghw(f, l, m, t, mode, r, prune=False)
+            assert detcode._ghw_floor(detcode.make_domain(f, l, m, t, mode), r) <= d_r
+            assert detcode.brute_ghw(f, l, m, t, mode, r) == d_r
+    if l >= 2:  # rank1_bound needs 2 <= l
+        best, witness = rank1.max_rank1_exhaustive(f, l, m, r, prune=False)
+        assert rank1._rank1_ceiling(f, l, m, r) >= best
+        pruned, pruned_witness = rank1.max_rank1_exhaustive(f, l, m, r)
+        assert (pruned, pruned_witness.tolist()) == (best, witness.tolist())
+
+
+def test_a_wrong_bound_fails_loudly(f2, monkeypatch):
+    # q=2 2x3: d_3 = 14 meets its floor and the r = 4 maximum 9 its
+    # ceiling, so a floor one higher or a ceiling one lower is crossed by
+    # a visited space, which must raise rather than cut the search short
+    floor = detcode._ghw_floor
+    monkeypatch.setattr(detcode, "_ghw_floor", lambda dom, r: floor(dom, r) + 1)
+    with pytest.raises(AssertionError, match="below the proven floor"):
+        detcode.brute_ghw(f2, 2, 3, 1, "projective", 3)
+    ceiling = rank1._rank1_ceiling
+    monkeypatch.setattr(rank1, "_rank1_ceiling", lambda *a: ceiling(*a) - 1)
+    with pytest.raises(AssertionError, match="above the proven ceiling"):
+        rank1.max_rank1_exhaustive(f2, 2, 3, 4)
 
 
 def test_unpruned_q2_3x3_t2_middle_weights():

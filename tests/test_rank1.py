@@ -162,6 +162,21 @@ def test_count_rank1_streams_its_span(f3, chunk, limit_mib, monkeypatch):
     assert peak < limit_mib * 2**20
 
 
+@pytest.mark.parametrize(
+    "p,e,l,m", [(2, 1, 2, 3), (3, 1, 3, 3), (5, 1, 2, 3), (2, 2, 2, 3), (3, 2, 2, 2), (2, 1, 1, 3)]
+)
+def test_count_rank1_matches_elimination_on_random_bases(p, e, l, m):
+    # the minor test against the ranks span_ranks eliminates, on bases of
+    # every dimension that need not be independent or reduced
+    f = gf.make_field(p, e)
+    rng = np.random.default_rng(p * 100 + e * 10 + l * m)
+    for r in range(0, min(l * m, 4) + 1):
+        for _ in range(3):
+            basis = rng.integers(0, f.q, size=(r, l * m))
+            want = int((matq.span_ranks(f, basis[None], l, m) == 1).sum())
+            assert rank1.count_rank1(f, basis, l, m) == want
+
+
 def test_classify_space_row_and_col(f2, f3):
     # Row type: first row varies, so u = e1 is fixed.
     row = np.array([[1, 0, 0, 0], [0, 1, 0, 0]])

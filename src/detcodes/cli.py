@@ -336,6 +336,17 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+_OPTIONS = {
+    "q": dict(required=True, help="field size: p, p^e, or a prime power literal"),
+    "l": dict(type=int, required=True),
+    "m": dict(type=int, required=True),
+    "t": dict(type=int, required=True),
+    "mode": dict(choices=("affine", "projective"), default="projective"),
+    "format": dict(choices=("table", "json"), default="table"),
+    "out": dict(default=None),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="detcodes",
@@ -343,44 +354,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, need_t=True, mode=True):
-        p.add_argument("--q", required=True, help="field size: p, p^e, or a prime power literal")
-        p.add_argument("--l", type=int, required=True)
-        p.add_argument("--m", type=int, required=True)
-        if need_t:
-            p.add_argument("--t", type=int, required=True)
-        if mode:
-            p.add_argument("--mode", choices=("affine", "projective"), default="projective")
-        p.add_argument("--format", choices=("table", "json"), default="table")
-        p.add_argument("--out", default=None)
+    def command(name, func, summary, flags):
+        """A subcommand that declares only the options ``func`` reads."""
+        p = sub.add_parser(name, help=summary)
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", **_OPTIONS[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("spectrum", help="weight enumerator")
-    common(p)
+    p = command("spectrum", cmd_spectrum, "weight enumerator", "q l m t mode format out")
     p.add_argument("--path", choices=("closed", "brute", "both"), default="both")
-    p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("ghw", help="generalized Hamming weight table")
-    common(p)
+    p = command("ghw", cmd_ghw, "generalized Hamming weight table", "q l m t mode format out")
     p.add_argument("--r", default=None, help="single r or an inclusive range like 1..6")
     p.add_argument("--no-brute", action="store_true", help="skip brute-force confirmation")
-    p.set_defaults(func=cmd_ghw)
 
-    p = sub.add_parser("count", help="lengths, dimension, and rank-class counts")
-    common(p, mode=False)
-    p.set_defaults(func=cmd_count)
+    command("count", cmd_count, "lengths, dimension, and rank-class counts", "q l m t format out")
+    command("genmat", cmd_genmat, "export the generator matrix", "q l m t mode out")
 
-    p = sub.add_parser("genmat", help="export the generator matrix")
-    common(p)
-    p.set_defaults(func=cmd_genmat)
-
-    p = sub.add_parser("rank1max", help="exhaustive extremal rank-1 search")
-    common(p, need_t=False)
+    p = command("rank1max", cmd_rank1max, "exhaustive extremal rank-1 search", "q l m format out")
     p.add_argument("--r", type=int, required=True)
-    p.set_defaults(func=cmd_rank1max)
 
-    p = sub.add_parser("verify", help="run the closed-form-vs-brute cross-check battery")
-    common(p)
-    p.set_defaults(func=cmd_verify)
+    command("verify", cmd_verify, "run the closed-form-vs-brute cross-check battery",
+            "q l m t format out")
     return ap
 
 

@@ -22,13 +22,19 @@ from .counting import _exact_div, gaussian_binomial, lengths, mu
 from .errors import BadParameters, NonIntegerDivision
 
 
+def _head_weight(l: int, m: int, r: int, q: int) -> int:
+    """q^(l+m-r-1) (q^r - 1) / (q - 1): the weight of a rank-r form in the
+    projective t=1 code, and d_hat_r for r <= m."""
+    return q ** (l + m - r - 1) * _exact_div(q**r - 1, q - 1)
+
+
 def what_r(l: int, m: int, r: int, q: int) -> int:
     """Nonzero weight of the projective t=1 code attached to rank-r forms:
     q^(l+m-r-1) (q^r - 1) / (q - 1).  Strictly increasing in r.
     """
     if not 1 <= r <= l <= m:
         raise BadParameters(f"need 1 <= r <= l <= m, got r={r}, l={l}, m={m}")
-    val = q ** (l + m - r - 1) * _exact_div(q**r - 1, q - 1)
+    val = _head_weight(l, m, r, q)
     if r > 1:
         assert val > what_r(l, m, r - 1, q), "weights must increase with rank"
     return val
@@ -80,16 +86,6 @@ def closed_weight_enumerator(t, l, m, q, mode: str):
     return _spectrum_from(mode, counts)
 
 
-def weight_pair_table(t, l, m, q) -> list[tuple[int, int]]:
-    """(w_r, w_hat_r) per rank class r = 0..l; kept per rank because the
-    enumerator merges coincident weights."""
-    out = []
-    for r in range(l + 1):
-        w = affine_weight(t, r, l, m, q)
-        out.append((w, _exact_div(w, q - 1) if r else 0))
-    return out
-
-
 def griesmer_wei(d1: int, r: int, q: int) -> int:
     """Lower bound sum_{j<r} ceil(d1 / q^j) on the r-th higher weight."""
     if d1 < 1 or r < 1:
@@ -130,8 +126,7 @@ def _span_upper(l: int, m: int, r: int, q: int) -> int:
     d_hat_m + q^(l+m-s-2) (q^s - 1)/(q - 1).
     """
     s = r - m
-    d_hat_m = q ** (l - 1) * _exact_div(q**m - 1, q - 1)
-    return d_hat_m + q ** (l + m - s - 2) * _exact_div(q**s - 1, q - 1)
+    return _head_weight(l, m, m, q) + q ** (l + m - s - 2) * _exact_div(q**s - 1, q - 1)
 
 
 def ghw_t1(l: int, m: int, r: int, q: int) -> GhwResult:
@@ -148,16 +143,15 @@ def ghw_t1(l: int, m: int, r: int, q: int) -> GhwResult:
     if r > m and l < 2:
         raise BadParameters("r > m requires l >= 2")
     _, n_hat = lengths(l, m, 1, q)
-    d_hat_m = q ** (l - 1) * _exact_div(q**m - 1, q - 1)
     if r <= m:
-        val = q ** (l + m - r - 1) * _exact_div(q**r - 1, q - 1)
+        val = _head_weight(l, m, r, q)
         assert val == griesmer_wei(q ** (l + m - 2), r, q)
         return GhwResult(r=r, kind="exact", value=val, sources=("griesmer-wei-met",))
     if r == m + 1:
         return GhwResult(
             r=r,
             kind="exact",
-            value=d_hat_m + q ** (l + m - 3),
+            value=_head_weight(l, m, m, q) + q ** (l + m - 3),
             sources=("rank1-coset-bound-attained",),
         )
     if r == l * m:

@@ -21,6 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import (
+    BadParameters,
     BudgetExceeded,
     DegreeZero,
     DivisionByZero,
@@ -178,9 +179,6 @@ class Field:
             n >>= 1
         return out
 
-    def elements(self) -> range:
-        return range(self.q)
-
     # -- lookup tables for the batch kernels --
 
     @cached_property
@@ -283,10 +281,13 @@ def make_field(p: int, e: int = 1) -> Field:
 def parse_q(text: str) -> Field:
     """Parse 'p' or 'p^e' or a prime-power literal like '9' into a field."""
     text = text.strip()
-    if "^" in text:
-        ps, es = text.split("^", 1)
-        return make_field(int(ps), int(es))
-    q = int(text)
+    try:
+        if "^" in text:
+            ps, es = text.split("^", 1)
+            return make_field(int(ps), int(es))
+        q = int(text)
+    except ValueError:
+        raise BadParameters(f"q must be p, p^e or a prime power literal, got {text!r}") from None
     if q > MAX_Q:
         raise FieldTooLarge(f"q={q} exceeds the enumeration budget (max {MAX_Q})")
     for p in range(2, q + 1):

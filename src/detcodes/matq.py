@@ -193,10 +193,6 @@ def enumerate_matrices(field, l: int, m: int, t: int, mode: str) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _pivot_profiles(N: int, r: int):
-    return combinations(range(N), r)
-
-
 def _profile_free_slots(N: int, profile) -> list[tuple[int, int]]:
     pivset = set(profile)
     slots = []
@@ -235,7 +231,7 @@ def subspace_batches(field, N: int, r: int):
     # every stack's last s digits, in the smallest dtype that holds a digit
     fillings = _base_q_digits(np.arange(q**S, dtype=np.int64), q, S)
     fillings = fillings.astype(np.min_scalar_type(q - 1))
-    for profile in _pivot_profiles(N, r):
+    for profile in combinations(range(N), r):
         slots = _profile_free_slots(N, profile)
         si, sj = np.array(slots, dtype=np.int64).reshape(-1, 2).T
         k, s = len(slots), min(S, len(slots))

@@ -1,9 +1,12 @@
 """Command-line interface: output formats, JSON serialization, exit codes."""
 
+import argparse
 import io
 import json
+import shlex
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -477,12 +480,76 @@ def test_exit_code_parameter_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("q", ["abc", "2^x", "2^", " "])
+def test_a_malformed_q_is_a_parameter_error(q, capsys):
+    code, out, err = run(["count", "--q", q, "--l", "2", "--m", "2", "--t", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parameter error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--q", "2", "--l", "2", "--m", "3", "--t", "1", "--mode", "affine"],
+    ["rank1max", "--q", "2", "--l", "2", "--m", "3", "--r", "4", "--mode", "affine"],
+    ["genmat", "--q", "2", "--l", "2", "--m", "2", "--t", "1", "--format", "json"],
+])
+def test_a_flag_the_command_would_ignore_is_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.dispatch(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that records which of its attributes were read."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._reads = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--q", "2", "--l", "1", "--m", "2", "--t", "1", "--mode", "affine",
+     "--format", "json", "--path", "both"],
+    ["ghw", "--q", "2", "--l", "2", "--m", "2", "--t", "1", "--mode", "affine",
+     "--format", "json", "--r", "1..2", "--no-brute"],
+    ["count", "--q", "2", "--l", "1", "--m", "2", "--t", "1", "--format", "json"],
+    ["genmat", "--q", "2", "--l", "1", "--m", "2", "--t", "1", "--mode", "affine"],
+    ["rank1max", "--q", "2", "--l", "2", "--m", "2", "--r", "3", "--format", "json"],
+    ["verify", "--q", "2", "--l", "1", "--m", "2", "--t", "1", "--format", "json"],
+])
+def test_every_parsed_flag_is_read(argv, tmp_path):
+    parsed = cli.build_parser().parse_args(argv + ["--out", str(tmp_path / "out")])
+    args = _ReadRecorder(**vars(parsed))
+    assert args.func(args) == 0
+    assert set(vars(parsed)) - {"func", "command"} - args._reads == set()
+
+
+def test_every_readme_cli_example_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+                if line.startswith("detcodes ")]
+    assert len(commands) == 7
+    monkeypatch.chdir(tmp_path)  # genmat writes --out gen.txt
+    for argv in commands:
+        with redirect_stdout(io.StringIO()):
+            assert cli.dispatch(argv) == 0, argv
+
+
 FUZZ_COMMANDS = [
     ["spectrum", "--path", "closed"],
     ["spectrum", "--path", "brute"],
     ["genmat"],
     ["count"],
     ["ghw", "--no-brute"],
+    ["ghw"],
+    ["rank1max"],
     ["verify"],
 ]
 
@@ -494,22 +561,28 @@ FUZZ_COMMANDS = [
     l=st.integers(0, 3),
     m=st.integers(0, 3),
     t=st.integers(0, 3),
+    r=st.integers(0, 10),
     mode=st.sampled_from(["affine", "projective"]),
 )
-@example(cmd=["spectrum", "--path", "brute"], q=2, l=0, m=1, t=0, mode="affine")
-@example(cmd=["genmat"], q=2, l=0, m=1, t=0, mode="affine")
-@example(cmd=["verify"], q=3, l=0, m=2, t=0, mode="projective")
-def test_cli_exits_with_a_code_and_never_raises(cmd, q, l, m, t, mode):
+@example(cmd=["spectrum", "--path", "brute"], q=2, l=0, m=1, t=0, r=0, mode="affine")
+@example(cmd=["genmat"], q=2, l=0, m=1, t=0, r=0, mode="affine")
+@example(cmd=["verify"], q=3, l=0, m=2, t=0, r=0, mode="projective")
+@example(cmd=["rank1max"], q=2, l=3, m=3, t=0, r=5, mode="projective")
+def test_cli_exits_with_a_code_and_never_raises(cmd, q, l, m, t, r, mode):
     assume(q ** (l * m) <= 4096)
-    argv = cmd + ["--q", str(q), "--l", str(l), "--m", str(m), "--t", str(t)]
-    if cmd != ["count"]:  # count takes no mode
+    argv = cmd + ["--q", str(q), "--l", str(l), "--m", str(m)]
+    if cmd[0] == "rank1max":
+        argv += ["--r", str(r % (l * m + 2))]  # every r in 0..l*m+1
+    else:
+        argv += ["--t", str(t)]
+    if cmd[0] in ("spectrum", "ghw", "genmat"):
         argv += ["--mode", mode]
     start = time.perf_counter()
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         code = cli.dispatch(argv)
     assert code in (0, 1, 2, 3)
     # a request that passes the budget checks must also finish: the
-    # slowest of these, verify q=4 2x3 t=1, takes about half a second
+    # slowest of these, rank1max q=2 3x3 r=5, takes under 0.1 s
     assert time.perf_counter() - start < 10
 
 

@@ -198,13 +198,6 @@ def test_closed_enumerator_rejects_bad_mode_and_params():
         formulas.closed_weight_enumerator(3, 2, 2, 2, "affine")
 
 
-def test_weight_pair_table():
-    table = formulas.weight_pair_table(1, 2, 2, 2)
-    assert table == [(0, 0), (4, 4), (6, 6)]
-    table3 = formulas.weight_pair_table(1, 2, 2, 3)
-    assert table3 == [(0, 0), (18, 9), (24, 12)]
-
-
 # ---------------------------------------------------------------------------
 # Griesmer-style floor for the higher-weight hierarchy
 # ---------------------------------------------------------------------------

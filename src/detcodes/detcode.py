@@ -255,46 +255,88 @@ def _subspace_supports(dom: EvaluationDomain, r: int):
         yield j, ranks, sums // denom
 
 
-def _ghw_floor(dom: EvaluationDomain, r: int) -> int:
-    """A proven lower bound on d_r, read off the domain and its weights.
-
-    Griesmer-Wei: d_r >= sum_{i<r} ceil(d_1 / q^i) for any linear code.
-    Duality: a point outside supp(D) is killed by every form of D, so it
-    lies in D^perp, of dimension N - r (N = l*m).  Distinct points are
-    distinct matrices, or in projective mode distinct lines, so at most
-    c(N - r) of them miss the support: d_r >= n - c(N - r), with
-    c(s) = q^s affine and (q^s - 1)/(q - 1) projective.
+def _section_ceiling(dom: EvaluationDomain, s: int) -> int:
+    """A proven upper bound on the points of the domain in an
+    s-dimensional space S of l x m matrices, N = l*m: the least of
+    - c(s), all points of S: q^s affine, (q^s - 1)/(q - 1) projective;
+    - n - GW(d_1, N - s), n at s = N: a point lies in S iff every form of
+      D = S^perp vanishes at it, so S holds n - wt(D) points, and
+      wt(D) >= d_(N-s) >= GW(d_1, N - s), the Griesmer-Wei bound;
+    - at t = 1, the coset bound ``counting.rank1_bound(s)``, as points.
     """
-    q, N = dom.field.q, dom.l * dom.m
-    missed = q ** (N - r) if dom.mode == "affine" else (q ** (N - r) - 1) // (q - 1)
-    return max(griesmer_wei(min(weight_table(dom)[1:]), r, q), len(dom) - missed)
+    q, N, affine = dom.field.q, dom.l * dom.m, dom.mode == "affine"
+    gw = griesmer_wei(min(weight_table(dom)[1:]), N - s, q) if s < N else 0
+    bounds = [q**s if affine else (q**s - 1) // (q - 1), len(dom) - gw]
+    if dom.t == 1 and dom.l >= 2:
+        rank1 = counting.rank1_bound(s, dom.l, dom.m, q).max_rank1
+        bounds.append(rank1 + 1 if affine else rank1 // (q - 1))
+    return min(bounds)
+
+
+def max_section(field, l, m, t, mode, s, prune: bool = True) -> tuple[int, np.ndarray]:
+    """Most points of the domain in an s-dimensional space S of l x m
+    matrices (a maximal linear section of the variety), and the first
+    maximizer in canonical order among the S that contain E_1, E_2, ...
+
+    A point is outside supp(D) iff it is in D^perp, so d_r = n -
+    max_section(N - r), N = l*m.  A maximizer holds a point of some rank
+    j <= t, which G maps to E_j, so only the S that contain E_j, j <= t,
+    are searched (``matq.span_rank_batches``).  S holds its span elements
+    of rank 1..t, over q - 1 projective and plus the origin affine (s = 0:
+    the origin alone).  A count above ``_section_ceiling`` raises
+    AssertionError; ``prune`` stops at the first S that reaches it, which
+    is the first maximizer.  Unpruned, every S is visited: the oracle.
+    """
+    q = field.q
+    if s == 0:
+        return int(mode == "affine"), np.zeros((0, l * m), dtype=np.int64)
+    best, witness, ceiling = -1, None, None
+    for _, bases, ranks in matq.span_rank_batches(field, l, m, s, range(1, t + 1)):
+        if ceiling is None:  # built once the search has passed its budget check
+            ceiling = _section_ceiling(make_domain(field, l, m, t, mode), s)
+        counts = ((ranks > 0) & (ranks <= t)).sum(axis=1)
+        i = int(counts.argmax())
+        points = int(counts[i]) // (q - 1) if mode == "projective" else int(counts[i]) + 1
+        if points > ceiling:
+            raise AssertionError(f"section of {points} points above the proven ceiling {ceiling}")
+        if points > best:
+            best, witness = points, bases[i].copy()
+        if prune and best == ceiling:
+            break
+    return best, witness
+
+
+def _primal_ghw(field, l, m, t, mode, r, prune: bool = True) -> int:
+    """d_r = min_j min{wt(D) : E_j in D} over the r-dimensional subcodes,
+    j = 1..l (``_subspace_supports``).  A support weight below the floor
+    n - ``_section_ceiling``(N - r) raises AssertionError; ``prune`` stops
+    at the first block that meets it.  Unpruned, every D is visited.
+    """
+    dom = make_domain(field, l, m, t, mode)
+    floor, best = len(dom) - _section_ceiling(dom, l * m - r), len(dom)
+    for _, _, supports in _subspace_supports(dom, r):
+        best = min(best, int(supports.min()))
+        if best < floor:
+            raise AssertionError(f"support weight {best} below the proven floor {floor}")
+        if prune and best == floor:
+            break
+    return best
 
 
 def brute_ghw(field, l, m, t, mode, r, prune: bool = True) -> int:
-    """r-th generalized Hamming weight by exhaustive subcode search.
-
-    d_r = min_j min{wt(D) : E_j in D}, one search per rank j = 1..l (see
-    ``_subspace_supports``), j = 1 first.  Every support weight is
-    checked against the proven floor of ``_ghw_floor`` (the Griesmer-Wei
-    bound, or n minus the points of a dual space), and one below it
-    raises AssertionError.  With ``prune`` the search stops at the first
-    block that meets the floor, since no subcode can go lower; without
-    it, every subcode is visited, which is the tests' oracle.
+    """r-th generalized Hamming weight by exhaustive search, from the side
+    that reads fewer span elements, a rule that depends only on
+    (q, l, m, t, r): the subcodes (``_primal_ghw``, l * [N-1, r-1]_q * q^r)
+    or the sections (``max_section``, t * [N-1, N-r-1]_q * q^(N-r)).
     """
-    if not 1 <= r <= l * m:
-        raise BadParameters(f"subcode dimension r={r} not in [1, {l * m}]")
-    dom = make_domain(field, l, m, t, mode)
-    floor = _ghw_floor(dom, r)
-    best = None
-    for _, _, supports in _subspace_supports(dom, r):
-        lo = int(supports.min())
-        if lo < floor:
-            raise AssertionError(f"support weight {lo} below the proven floor {floor}")
-        if best is None or lo < best:
-            best = lo
-        if prune and best == floor:
-            return best
-    return best
+    q, N = field.q, l * m
+    if not 1 <= r <= N:
+        raise BadParameters(f"subcode dimension r={r} not in [1, {N}]")
+    primal = l * counting.gaussian_binomial(N - 1, r - 1, q) * q**r
+    if primal <= t * counting.gaussian_binomial(N - 1, N - r - 1, q) * q ** (N - r):
+        return _primal_ghw(field, l, m, t, mode, r, prune)
+    points, _ = max_section(field, l, m, t, mode, N - r, prune)
+    return len(make_domain(field, l, m, t, mode)) - points
 
 
 def subcode_spectrum(field, l, m, t, mode, r) -> dict[int, int]:

@@ -259,13 +259,14 @@ class Field:
 @lru_cache(maxsize=None)
 def make_field(p: int, e: int = 1) -> Field:
     """Construct GF(p^e) with the deterministically minimal modulus."""
+    # p >= 2, so e > 16 puts p^e past MAX_Q = 2^16: no huge p^e, no long trial division
+    if p > MAX_Q or e > 16 or (e > 0 and p**e > MAX_Q):
+        raise FieldTooLarge(f"q={p}^{e} exceeds the enumeration budget (max {MAX_Q})")
     if not _is_prime(p):
         raise NotPrime(f"p={p} is not prime")
     if e < 1:
         raise DegreeZero(f"extension degree must be >= 1, got {e}")
     q = p**e
-    if q > MAX_Q:
-        raise FieldTooLarge(f"q={q} exceeds the enumeration budget (max {MAX_Q})")
     if e == 1:
         modulus = (p - 1, 1)  # placeholder X - 1, unused for prime fields
     else:
@@ -291,7 +292,7 @@ def parse_q(text: str) -> Field:
     if q > MAX_Q:
         raise FieldTooLarge(f"q={q} exceeds the enumeration budget (max {MAX_Q})")
     for p in range(2, q + 1):
-        if _is_prime(p) and q % p == 0:
+        if q % p == 0 and _is_prime(p):
             e = 0
             qq = q
             while qq % p == 0:

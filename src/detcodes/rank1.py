@@ -13,7 +13,6 @@ from . import _kernels, detcode, matq
 from ._kernels import gf_matmul
 from .counting import rank1_bound
 from .errors import BudgetExceeded, EquationViolated, NotRankOne
-from .formulas import griesmer_wei
 
 ELEMENT_BUDGET = 10_000_000
 
@@ -133,58 +132,18 @@ def classify_space(field, basis, l: int, m: int) -> Rank1SpaceClass:
     return Rank1SpaceClass(tag="col", vector=v0, subspace=ubasis)
 
 
-def _rank1_ceiling(field, l: int, m: int, r: int) -> int:
-    """A proven upper bound on the rank-1 count of an r-dimensional space
-    S of l x m matrices: the least of ``rank1_bound`` and
-    (q - 1) * (n_hat - GW(d_1, N - r)), N = l*m, with n_hat and d_1 read
-    off the t = 1 projective domain and GW the Griesmer-Wei bound (0 at
-    r = N).
-
-    A rank-1 point P lies in S iff every form of S^perp vanishes at P,
-    so S holds n_hat - wt(S^perp) rank-1 points, q - 1 rank-1 matrices
-    each; S^perp is an (N - r)-dimensional subcode of the t = 1 code, so
-    wt(S^perp) >= d_(N-r) >= GW(d_1, N - r).
-    """
-    q, N = field.q, l * m
-    dom = detcode.make_domain(field, l, m, 1, "projective")
-    gw = griesmer_wei(min(detcode.weight_table(dom)[1:]), N - r, q) if r < N else 0
-    return min(rank1_bound(r, l, m, q).max_rank1, (q - 1) * (len(dom) - gw))
-
-
-def max_rank1_exhaustive(
-    field, l: int, m: int, r: int, prune: bool = True
-) -> tuple[int, np.ndarray]:
+def max_rank1_exhaustive(field, l: int, m: int, r: int,
+                         prune: bool = True) -> tuple[int, np.ndarray]:
     """Maximum rank-1 count over all r-dimensional subspaces of the l x m
-    matrix space, with a maximizing witness: the first, in canonical
-    order, of the maximizers that contain E_11.
-
-    A maximizer holds a rank-1 form, and GL_l x GL_m, which keeps rank-1
-    counts, maps it to E_11; so the search visits only the spaces that
-    contain E_11 (``matq.span_rank_batches`` with j = 1), whose bases
-    come as RREFs in canonical order.  Every count is checked against the
-    proven ceiling of ``_rank1_ceiling``, and one above it raises
-    AssertionError.  With ``prune`` the search stops at the first space
-    that reaches the ceiling: no later space can beat it, so that space
-    is the first maximizer.  Without it, every space is visited, which is
-    the tests' oracle.
+    matrix space, with a maximizing witness: q - 1 times the points of
+    the t = 1 projective ``detcode.max_section`` of dimension r, and its
+    witness, the first maximizer in canonical order of the spaces that
+    contain E_11.  ``prune`` is passed on to the section search.
     """
     q = field.q
     bound = rank1_bound(r, l, m, q)
-    if r == 0:  # the zero space holds no rank-1 form, and not E_11
-        return 0, np.zeros((0, l * m), dtype=np.int64)
-    best, witness, ceiling = -1, None, None
-    for _, bases, ranks in matq.span_rank_batches(field, l, m, r, (1,)):
-        if ceiling is None:  # read once the search has passed its budget check
-            ceiling = _rank1_ceiling(field, l, m, r)
-        counts = (ranks == 1).sum(axis=1)
-        i = int(counts.argmax())
-        if counts[i] > ceiling:
-            raise AssertionError(f"rank-1 count {counts[i]} above the proven ceiling {ceiling}")
-        if counts[i] > best:
-            best = int(counts[i])
-            witness = bases[i].copy()
-        if prune and best == ceiling:
-            break
+    points, witness = detcode.max_section(field, l, m, 1, "projective", r, prune)
+    best = (q - 1) * points
     if not bound.from_coset_argument:
         assert best == q**r - 1, "for r <= m the constant-rank-1 maximum is exact"
     return best, witness

@@ -407,15 +407,15 @@ def test_verify_rank1_check_fails_on_a_miscounted_witness(capsys, monkeypatch):
 def test_verify_reports_a_crossed_search_bound_as_a_failure(capsys, monkeypatch):
     # bounds one step too tight: the searches raise, and verify reports
     # each check whose search crossed its bound instead of crashing
-    floor, ceiling = detcode._ghw_floor, rank1._rank1_ceiling
-    monkeypatch.setattr(detcode, "_ghw_floor", lambda dom, r: floor(dom, r) + 1)
-    monkeypatch.setattr(rank1, "_rank1_ceiling", lambda *a: ceiling(*a) - 1)
+    # (r = 1 runs the subcode side, r = 2..4 the section side)
+    ceiling = detcode._section_ceiling
+    monkeypatch.setattr(detcode, "_section_ceiling", lambda dom, s: ceiling(dom, s) - 1)
     code, out, _ = run(["verify", "--q", "2", "--l", "2", "--m", "2", "--t", "1"], capsys)
     assert code == 1
     assert "FAIL  higher weights: closed/bounds vs brute, affine transfer" in out
-    assert "below the proven floor" in out
+    assert "below the proven floor" in out and "r=2: section of " in out
     for r in (3, 4):
-        assert f"FAIL  rank-1 extremal count within bound (r={r})  (rank-1 count" in out
+        assert f"FAIL  rank-1 extremal count within bound (r={r})  (section of" in out
     assert sum(line.startswith("FAIL  ") for line in out.splitlines()) == 3
 
 
@@ -436,6 +436,20 @@ def test_verify_reports_skipped_checks_and_never_counts_them(capsys):
     payload = json.loads(out)
     assert len(payload["checks"]) == 14 and len(payload["skipped"]) == 9
     assert {c["name"] for c in payload["checks"]}.isdisjoint(s["name"] for s in payload["skipped"])
+
+
+def test_verify_at_t2_skips_the_t1_only_checks_with_their_reason(capsys):
+    code, out, _ = run(["verify", "--q", "2", "--l", "3", "--m", "3", "--t", "2"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    for line in (
+        "SKIP  higher weights: closed/bounds vs brute, affine transfer"
+        "  (closed-form higher weights are only available for t=1)",
+        "SKIP  witness subcodes attain the known values  (witness subcodes are only known for t=1)",
+    ):
+        assert line in lines
+    assert sum(line.startswith("PASS  ") for line in lines) == 12
+    assert lines[-1] == "OK: 12/12 checks passed, 6 skipped"
 
 
 def test_verify_skips_the_naive_oracle_over_its_budget(capsys, monkeypatch):
@@ -486,6 +500,16 @@ def test_a_malformed_q_is_a_parameter_error(q, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("parameter error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("q", ["10000000000000061^1", "2^10000000000", "2^100000000", "70001^1"])
+def test_an_oversized_q_is_refused_before_it_is_computed(q, capsys):
+    # p^e is never formed and a large p is never trial-divided
+    start = time.perf_counter()
+    code, out, err = run(["count", "--q", q, "--l", "1", "--m", "1", "--t", "1"], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == f"parameter error: q={q} exceeds the enumeration budget (max {gf.MAX_Q})\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -439,15 +439,20 @@ def test_searches_read_at_most_one_chunk_of_span_elements(f2, monkeypatch):
         blocks.clear()
         assert _searches(f2, 2, 3, r, 1) == want
         assert blocks and all(size <= 20 or n == 1 for n, size in blocks)
-    assert blocks == [(1, 32)] * len(blocks)
+    # at r = 5 brute_ghw reads the 1-dimensional sections, one basis of 2
+    # elements a block, and subcode_spectrum and rank1max one basis of 32
+    assert set(blocks) == {(1, 2), (1, 32)}
 
 
 @pytest.mark.parametrize("q,l,m,r", [(2, 2, 4, 5), (3, 2, 3, 4), (2, 3, 3, 2), (2, 2, 2, 4)])
 def test_searches_visit_only_the_spaces_that_contain_E_j(q, l, m, r, monkeypatch):
-    # brute_ghw visits [N-1, r-1]_q spaces for each of the l ranks j, and
-    # the rank-1 search those of j = 1 alone
+    # the subcode search visits [N-1, r-1]_q spaces for each of the l ranks
+    # j, the section search of dimension N - r [N-1, N-r-1]_q for each of
+    # the t ranks j (none at r = N), and the rank-1 search those of j = 1
     f = make_field(q)
-    one_rank = counting.gaussian_binomial(l * m - 1, r - 1, q)
+    N = l * m
+    one_rank = counting.gaussian_binomial(N - 1, r - 1, q)
+    dual = counting.gaussian_binomial(N - 1, N - r - 1, q)
     calls = []
     real = matq.subspace_batches
 
@@ -458,16 +463,26 @@ def test_searches_visit_only_the_spaces_that_contain_E_j(q, l, m, r, monkeypatch
             yield stack
 
     monkeypatch.setattr(matq, "subspace_batches", spy)
-    detcode.brute_ghw(f, l, m, 1, "projective", r, prune=False)
-    assert calls == [[l * m - 1, r - 1, one_rank]] * l
+    detcode._primal_ghw(f, l, m, 1, "projective", r, prune=False)
+    assert calls == [[N - 1, r - 1, one_rank]] * l
+    for t in range(1, l + 1):
+        calls.clear()
+        detcode.max_section(f, l, m, t, "projective", N - r, prune=False)
+        assert calls == ([[N - 1, N - r - 1, dual]] * t if r < N else [])
     calls.clear()
     rank1.max_rank1_exhaustive(f, l, m, r, prune=False)
-    assert calls == [[l * m - 1, r - 1, one_rank]]
-    # the budget counts those spaces, and is checked before any walk
+    assert calls == [[N - 1, r - 1, one_rank]]
+    # the budget counts those spaces, and is checked before any walk: the
+    # section search builds its domain only once a block has arrived
     monkeypatch.setattr(matq, "SUBSPACE_BUDGET", l * one_rank - 1)
     monkeypatch.setattr(matq, "rank_table", None)
     with pytest.raises(BudgetExceeded, match=f"{l * one_rank} subspaces exceed"):
-        detcode.brute_ghw(f, l, m, 1, "projective", r, prune=False)
+        detcode._primal_ghw(f, l, m, 1, "projective", r, prune=False)
+    if r < N:
+        monkeypatch.setattr(matq, "SUBSPACE_BUDGET", l * dual - 1)
+        monkeypatch.setattr(detcode, "make_domain", None)
+        with pytest.raises(BudgetExceeded, match=f"{l * dual} subspaces exceed"):
+            detcode.max_section(f, l, m, l, "projective", N - r, prune=False)
 
 
 def test_pruned_searches_stop_in_their_first_stack(f2, monkeypatch):
@@ -504,27 +519,67 @@ def test_proven_bounds_hold_and_pruning_changes_nothing(p, e, l, m, r):
     for t in range(1, l + 1):
         for mode in ("projective", "affine"):
             d_r = detcode.brute_ghw(f, l, m, t, mode, r, prune=False)
-            assert detcode._ghw_floor(detcode.make_domain(f, l, m, t, mode), r) <= d_r
+            dom = detcode.make_domain(f, l, m, t, mode)
+            assert len(dom) - detcode._section_ceiling(dom, l * m - r) <= d_r
             assert detcode.brute_ghw(f, l, m, t, mode, r) == d_r
     if l >= 2:  # rank1_bound needs 2 <= l
         best, witness = rank1.max_rank1_exhaustive(f, l, m, r, prune=False)
-        assert rank1._rank1_ceiling(f, l, m, r) >= best
+        dom = detcode.make_domain(f, l, m, 1, "projective")
+        assert (f.q - 1) * detcode._section_ceiling(dom, r) >= best
         pruned, pruned_witness = rank1.max_rank1_exhaustive(f, l, m, r)
         assert (pruned, pruned_witness.tolist()) == (best, witness.tolist())
 
 
 def test_a_wrong_bound_fails_loudly(f2, monkeypatch):
-    # q=2 2x3: d_3 = 14 meets its floor and the r = 4 maximum 9 its
-    # ceiling, so a floor one higher or a ceiling one lower is crossed by
-    # a visited space, which must raise rather than cut the search short
-    floor = detcode._ghw_floor
-    monkeypatch.setattr(detcode, "_ghw_floor", lambda dom, r: floor(dom, r) + 1)
+    # q=2 2x3: d_3 = 14 = 21 - 7 meets the floor n - ceiling(3), and the
+    # r = 4 maximum of 9 rank-1 forms its ceiling, so a ceiling one lower
+    # is crossed by a visited space on either side, which must raise
+    # rather than cut the search short; brute_ghw runs the section side
+    ceiling = detcode._section_ceiling
+    monkeypatch.setattr(detcode, "_section_ceiling", lambda dom, s: ceiling(dom, s) - 1)
     with pytest.raises(AssertionError, match="below the proven floor"):
+        detcode._primal_ghw(f2, 2, 3, 1, "projective", 3)
+    with pytest.raises(AssertionError, match="above the proven ceiling"):
         detcode.brute_ghw(f2, 2, 3, 1, "projective", 3)
-    ceiling = rank1._rank1_ceiling
-    monkeypatch.setattr(rank1, "_rank1_ceiling", lambda *a: ceiling(*a) - 1)
     with pytest.raises(AssertionError, match="above the proven ceiling"):
         rank1.max_rank1_exhaustive(f2, 2, 3, 4)
+
+
+@pytest.mark.parametrize("p,e,l,m,r", list(_bound_cells()))
+def test_the_subcode_and_section_sides_are_each_others_oracle(p, e, l, m, r):
+    # d_r = n - max_section(N - r) at every t and mode, pruned and not
+    f = make_field(p, e)
+    N = l * m
+    for t in range(1, l + 1):
+        for mode in ("projective", "affine"):
+            n = len(detcode.make_domain(f, l, m, t, mode))
+            primal = {detcode._primal_ghw(f, l, m, t, mode, r, prune=k) for k in (True, False)}
+            dual = {n - detcode.max_section(f, l, m, t, mode, N - r, prune=k)[0]
+                    for k in (True, False)}
+            assert primal == dual == {detcode.brute_ghw(f, l, m, t, mode, r)}
+
+
+@pytest.mark.parametrize("p,e,l,m", sorted({c[:4] for c in _bound_cells() if c[2] >= 2}))
+def test_rank1max_is_the_t1_projective_section(p, e, l, m):
+    # M(r) = (q - 1)(n_hat - d_(N-r)), with d_(N-r) from the subcode side
+    f = make_field(p, e)
+    N = l * m
+    n_hat = len(detcode.make_domain(f, l, m, 1, "projective"))
+    for r in range(N):
+        d = detcode._primal_ghw(f, l, m, 1, "projective", N - r, prune=False)
+        assert rank1.max_rank1_exhaustive(f, l, m, r)[0] == (f.q - 1) * (n_hat - d)
+
+
+def test_the_section_side_reaches_cells_past_the_subcode_budget(f2):
+    # q=2 t=1 projective; the subcode side of 4x4 r=14 and 3x4 r=9 would
+    # visit more than SUBSPACE_BUDGET spaces
+    for l, m, r in ((4, 4, 14), (3, 4, 9)):
+        assert l * counting.gaussian_binomial(l * m - 1, r - 1, 2) > matq.SUBSPACE_BUDGET
+    for l, m, r, want in ((4, 4, 14, 222), (4, 4, 15, 224),
+                          (3, 4, 9, 98), (3, 4, 10, 102), (3, 4, 11, 104)):
+        got = detcode.brute_ghw(f2, l, m, 1, "projective", r)
+        assert got == want
+        assert formulas.ghw_t1(l, m, r, 2).contains(got)
 
 
 def test_unpruned_q2_3x3_t2_middle_weights():

@@ -215,8 +215,10 @@ def support_weight(dom: EvaluationDomain, basis) -> int:
     """Support weight of the subcode spanned by the given forms.
 
     Computed twice, independently, and asserted equal: from the
-    rank-determined weights of all q^r elements of the span, and as the
-    number of coordinates hit by the basis codewords.
+    rank-determined weights of all q^r elements of the span, their ranks
+    read off ``matq.rank_table`` (the domain's walk, so it fits the
+    budget) a block of at most ``_kernels._RANK_CHUNK`` entries at a
+    time, and as the number of coordinates hit by the basis codewords.
     """
     basis = matq.as_matrix(basis, dom.field.q)
     r, nm = basis.shape
@@ -225,8 +227,12 @@ def support_weight(dom: EvaluationDomain, basis) -> int:
     if r == 0:
         raise BadParameters("support weight of the zero subcode is undefined here")
     q = dom.field.q
-    ranks = matq.span_ranks(dom.field, basis[None], dom.l, dom.m)[0]
-    total = int(np.asarray(weight_table(dom))[ranks].sum())
+    table, wt = matq.rank_table(dom.field, dom.l, dom.m), np.array(weight_table(dom))
+    powers = q ** np.arange(nm - 1, -1, -1, dtype=np.int64)  # an element's base-q value
+    per, total = max(1, _kernels._RANK_CHUNK // nm), 0  # span elements per block
+    for lo in range(0, q**r, per):
+        coeffs = matq._base_q_digits(np.arange(lo, min(lo + per, q**r), dtype=np.int64), q, r)
+        total += int(wt[table[gf_matmul(dom.field, coeffs, basis) @ powers]].sum())
     average = _exact_div(total, q**r - q ** (r - 1))
     words = gf_matmul(dom.field, basis, generator_matrix(dom))
     union = int(np.count_nonzero(words.any(axis=0)))
@@ -234,10 +240,12 @@ def support_weight(dom: EvaluationDomain, basis) -> int:
     return average
 
 
-def _subspace_supports(dom: EvaluationDomain, r: int):
-    """Yield (j, ranks, supports) over the r-dimensional subcodes that
-    contain E_j, for j = 1..l in turn, one block at a time: the ranks of
-    their span elements and their support weights, via rank grouping.
+def _subspace_supports(field, l, m, t, mode, r):
+    """Yield (j, ranks, supports) over the r-dimensional subcodes of the
+    rank-<=t code that contain E_j, for j = 1..l in turn, one block at a
+    time: the ranks of their span elements and their support weights,
+    via rank grouping.  The domain is built once the first block has
+    arrived, so an over-budget search is refused before any walk.
 
     G = GL_l x GL_m acts on the forms by F -> A F B^T.  It keeps ranks,
     so it keeps codeword weights and support weights, and it is
@@ -245,10 +253,10 @@ def _subspace_supports(dom: EvaluationDomain, r: int):
     some rank j, and some g in G maps that form to E_j; so these
     subcodes stand for all of them.
     """
-    q = dom.field.q
-    wt = np.array(weight_table(dom), dtype=np.int64)
-    denom = q**r - q ** (r - 1)
-    for j, _, ranks in matq.span_rank_batches(dom.field, dom.l, dom.m, r, range(1, dom.l + 1)):
+    denom, wt = field.q**r - field.q ** (r - 1), None
+    for j, _, ranks in matq.span_rank_batches(field, l, m, r, range(1, l + 1)):
+        if wt is None:
+            wt = np.array(weight_table(make_domain(field, l, m, t, mode)), dtype=np.int64)
         sums = wt[ranks].sum(axis=1)
         if (sums % denom).any():
             raise AssertionError("support-weight sum not divisible; implementation bug")
@@ -312,9 +320,11 @@ def _primal_ghw(field, l, m, t, mode, r, prune: bool = True) -> int:
     n - ``_section_ceiling``(N - r) raises AssertionError; ``prune`` stops
     at the first block that meets it.  Unpruned, every D is visited.
     """
-    dom = make_domain(field, l, m, t, mode)
-    floor, best = len(dom) - _section_ceiling(dom, l * m - r), len(dom)
-    for _, _, supports in _subspace_supports(dom, r):
+    floor = None
+    for _, _, supports in _subspace_supports(field, l, m, t, mode, r):
+        if floor is None:  # built once the search has passed its budget check
+            dom = make_domain(field, l, m, t, mode)
+            floor, best = len(dom) - _section_ceiling(dom, l * m - r), len(dom)
         best = min(best, int(supports.min()))
         if best < floor:
             raise AssertionError(f"support weight {best} below the proven floor {floor}")
@@ -353,10 +363,9 @@ def subcode_spectrum(field, l, m, t, mode, r) -> dict[int, int]:
     """
     if not 1 <= r <= l * m:
         raise BadParameters(f"subcode dimension r={r} not in [1, {l * m}]")
-    dom = make_domain(field, l, m, t, mode)
     q = field.q
     seen: Counter[tuple[int, int, int]] = Counter()  # (j, w, k_j) -> subcodes
-    for j, ranks, supports in _subspace_supports(dom, r):
+    for j, ranks, supports in _subspace_supports(field, l, m, t, mode, r):
         least = ~((ranks > 0) & (ranks < j)).any(axis=1)  # j(D) = j
         k = (ranks[least] == j).sum(axis=1)
         keys, counts = np.unique(supports[least] * q**r + k, return_counts=True)

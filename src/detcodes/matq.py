@@ -8,6 +8,7 @@ matrices are equal iff they span the same subspace.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -94,25 +95,25 @@ def _base_q_digits(a: np.ndarray, q: int, width: int) -> np.ndarray:
     return d
 
 
-def _space_size(q: int, l: int, m: int) -> int:
-    """q^(l*m), checked against the walk's budget."""
-    total = q ** (l * m)
-    if total > MATRIX_SPACE_BUDGET:
-        raise BudgetExceeded(
-            f"q^(l*m) = {total} exceeds the enumeration budget "
-            f"MATRIX_SPACE_BUDGET = {MATRIX_SPACE_BUDGET}"
-        )
-    return total
-
-
 def rank_table(field, l: int, m: int) -> np.ndarray:
-    """uint8 rank of every l x m matrix, indexed by the matrix's base-q
-    value: its row-major entries read as digits, the first most
-    significant.
+    """Read-only uint8 rank of every l x m matrix, indexed by the
+    matrix's base-q value: its row-major entries read as digits, the
+    first most significant.  Each call checks q^(l*m) against the budget
+    before it reads ``_walk``'s cache, which holds the last table only.
+    """
+    if min(l, m) < 1:
+        raise BadParameters(f"need l, m >= 1, got l={l}, m={m}")
+    if field.q ** (l * m) > MATRIX_SPACE_BUDGET:
+        raise BudgetExceeded(f"q^(l*m) = {field.q ** (l * m)} exceeds the enumeration budget "
+                             f"MATRIX_SPACE_BUDGET = {MATRIX_SPACE_BUDGET}")
+    return _walk(field, l, m)
 
-    This is the one walk of the matrix space, grown a row at a time from
-    the 1 x m table, where the rank is [v != 0].  A k-row matrix's value
-    is prefix * q^m + last row, so the k-row table is a (prefixes, q^m)
+
+@lru_cache(maxsize=1)
+def _walk(field, l: int, m: int) -> np.ndarray:
+    """The one walk of the matrix space, grown a row at a time from the
+    1 x m table, where the rank is [v != 0].  A k-row matrix's value is
+    prefix * q^m + last row, so the k-row table is a (prefixes, q^m)
     grid, filled in blocks of whole prefixes, at most
     ``_kernels._RANK_CHUNK`` entries when q^m fits.  Since rank([P; v])
     = rank(P) + [v not in rowspace P], a prefix P's row is rank(P) + 1,
@@ -121,15 +122,14 @@ def rank_table(field, l: int, m: int) -> np.ndarray:
     some twice and writes the same rank again.  So the ranks come from
     linear algebra, not from any count, and nothing is eliminated.  A
     tall space is ranked as its transpose, whose prefixes span fewer
-    values.  The table takes one byte per matrix.
+    values.
     """
-    if min(l, m) < 1:
-        raise BadParameters(f"need l, m >= 1, got l={l}, m={m}")
     q = field.q
-    _space_size(q, l, m)
     if l > m:  # rank is unchanged by transposition
-        wide = rank_table(field, m, l).reshape((q,) * (l * m))
-        return wide.transpose([j * l + i for i in range(l) for j in range(m)]).reshape(-1)
+        wide = _walk.__wrapped__(field, m, l).reshape((q,) * (l * m))
+        table = wide.transpose([j * l + i for i in range(l) for j in range(m)]).reshape(-1)
+        table.setflags(write=False)
+        return table
     rows = q**m
     table = np.ones(rows, dtype=np.uint8)
     table[0] = 0
@@ -144,6 +144,7 @@ def rank_table(field, l: int, m: int) -> np.ndarray:
             grid[lo:hi] = ranks + 1
             np.put_along_axis(grid[lo:hi], span_indices(field, P.reshape(hi - lo, k - 1, m)),
                               ranks, axis=1)
+    table.setflags(write=False)
     return table
 
 
@@ -211,7 +212,7 @@ def _max_power(q: int, n: int) -> int:
     return e
 
 
-def subspace_batches(field, N: int, r: int):
+def subspace_batches(field, N: int, r: int, grow: bool = False):
     """Yield (S, r, N) stacks of RREF bases, one pivot profile at a time.
 
     Deterministic order: profiles lexicographic, free entries filled by
@@ -220,6 +221,10 @@ def subspace_batches(field, N: int, r: int):
     ``_SUBSPACE_BATCH``, and starts at a filling index divisible by its
     size: its bases share every free entry but the last min(s, free
     slots), which run over all their fillings.
+
+    With ``grow``, the first stack grows, so that a search that stops at
+    its first basis builds no more: it is cut into stacks of 1 and then
+    q - 1 of each q^g, g < its s, each aligned as above.
     """
     if not 0 <= r <= N:
         raise BadParameters(f"need 0 <= r <= N, got r={r}, N={N}")
@@ -228,9 +233,10 @@ def subspace_batches(field, N: int, r: int):
     if total > SUBSPACE_BUDGET:
         raise BudgetExceeded(f"{total} subspaces exceed the budget {SUBSPACE_BUDGET}")
     S = min(_max_power(q, _SUBSPACE_BATCH), r * (N - r))  # no profile has more slots
-    # every stack's last s digits, in the smallest dtype that holds a digit
-    fillings = _base_q_digits(np.arange(q**S, dtype=np.int64), q, S)
-    fillings = fillings.astype(np.min_scalar_type(q - 1))
+    # every stack's last s digits, in the smallest dtype that holds a
+    # digit: row i holds the base-q digits of i, with no integer division
+    fillings = np.indices((q,) * S, dtype=np.min_scalar_type(q - 1)).reshape(S, q**S).T
+    first = grow
     for profile in combinations(range(N), r):
         slots = _profile_free_slots(N, profile)
         si, sj = np.array(slots, dtype=np.int64).reshape(-1, 2).T
@@ -239,9 +245,13 @@ def subspace_batches(field, N: int, r: int):
         base[np.arange(r), list(profile)] = 1
         for head in _base_q_digits(np.arange(q ** (k - s), dtype=np.int64), q, k - s):
             base[si[: k - s], sj[: k - s]] = head  # the stack's shared free entries
-            stack = np.broadcast_to(base, (q**s, r, N)).copy()
-            stack[:, si[k - s :], sj[k - s :]] = fillings[: q**s, S - s :]
-            yield stack
+            cuts = ([(0, 1)] + [(c * q**g, q**g) for g in range(s) for c in range(1, q)]
+                    if first else [(0, q**s)])  # (offset, size) within the stack
+            first = False
+            for lo, size in cuts:
+                stack = np.broadcast_to(base, (size, r, N)).copy()
+                stack[:, si[k - s :], sj[k - s :]] = fillings[lo : lo + size, S - s :]
+                yield stack
 
 
 def enumerate_subspaces(field, N: int, r: int):
@@ -259,27 +269,6 @@ def span_vectors(field, basis: np.ndarray) -> np.ndarray:
     """All q^r vectors of the row space of an (r, N) basis, in
     ``coeff_vectors`` order."""
     return gf_matmul(field, coeff_vectors(field, basis.shape[0]), basis)
-
-
-def span_ranks(field, bases: np.ndarray, l: int, m: int) -> np.ndarray:
-    """(S, q^r) ranks, as l x m matrices, of the elements spanned by each
-    basis of an (S, r, l*m) stack, in ``coeff_vectors`` order.
-
-    Every element is built and eliminated, so this serves single bases
-    whose span may lie in a space far past any ``rank_table``; searches
-    over many subspaces read ``span_rank_batches`` instead.  The elements
-    are built a block of coefficient vectors at a time, at most
-    ``_kernels._RANK_CHUNK`` entries (or one vector for a wider stack).
-    """
-    S, r, N = bases.shape
-    q = field.q
-    out = np.empty((S, q**r), dtype=np.int64)
-    per = max(1, _kernels._RANK_CHUNK // max(1, S * N))  # coefficient vectors per block
-    for lo in range(0, q**r, per):
-        hi = min(lo + per, q**r)
-        elems = gf_matmul(field, _base_q_digits(np.arange(lo, hi, dtype=np.int64), q, r), bases)
-        out[:, lo:hi] = rank_batch(field, elems.reshape(-1, l, m)).reshape(S, hi - lo)
-    return out
 
 
 def span_indices(field, bases: np.ndarray) -> np.ndarray:
@@ -354,13 +343,15 @@ def span_rank_batches(field, l: int, m: int, r: int, js):
     contain E_1.  Sum_j [l*m - 1, r - 1]_q subspaces are visited; that
     count is checked against ``SUBSPACE_BUDGET`` before the walk.
 
-    Ranks are read from one ``rank_table`` built for the call, so a
-    space past ``MATRIX_SPACE_BUDGET`` raises the walk's budget error.
-    Each stack is cut into aligned blocks of q^b bases, the largest with
-    q^b * q^r <= ``_kernels._RANK_CHUNK`` that divides the stack (b = 0,
-    one basis, when q^r alone exceeds the chunk); a block is what is
-    yielded, and its bases are built only when it is reached, so a
-    search that stops early copies no more of the stack.
+    Ranks are read off the cached ``rank_table``, so a space past
+    ``MATRIX_SPACE_BUDGET`` raises the walk's budget error.  Each stack
+    is cut into aligned blocks of q^b bases, the largest with q^b * q^r
+    <= ``_kernels._RANK_CHUNK`` that divides the stack (b = 0, one basis,
+    when q^r alone exceeds the chunk); a block is what is yielded.  The
+    search's first stack, that of its first j, grows from one basis
+    (``subspace_batches``), so a search that stops at its first basis
+    reads q^r span elements, and a full one reads only about (q - 1) * b
+    more blocks.
 
     The value of span element c is sum_k q^(N-1-k) * (c @ b_k), with b_k
     column k of the basis: its digits sit in distinct places, so the sum
@@ -384,19 +375,19 @@ def span_rank_batches(field, l: int, m: int, r: int, js):
     table = rank_table(field, l, m)
     C = coeff_vectors(field, r)
     b_max = max(0, _max_power(q, _kernels._RANK_CHUNK) - r)
-    layouts = {}  # one per pivot profile, shared by every j
-    for j in js:
+    layouts = {}  # one per pivot profile and block size, shared by every j
+    for i, j in enumerate(js):
         lead = np.zeros(N, dtype=np.int64)
         lead[: j * (m + 1) : m + 1] = 1  # E_j, row major
-        for stack in subspace_batches(field, N - 1, r - 1):
-            profile = tuple(int(np.flatnonzero(row)[0]) for row in stack[0])  # R's pivots
-            if profile not in layouts:
+        for stack in subspace_batches(field, N - 1, r - 1, grow=i == 0):
+            profile = tuple((stack[0] != 0).argmax(axis=1).tolist()) if r > 1 else ()  # R's pivots
+            b = min(b_max, _max_power(q, len(stack)))  # a stack holds a power of q
+            if (profile, b) not in layouts:
                 R_slots = _profile_free_slots(N - 1, profile)
-                b = min(b_max, _max_power(q, len(stack)))  # a stack holds a power of q
                 cols, fill, nfixed, pieces = _block_layout(
                     q, N, r, [(i + 1, c + 1) for i, c in R_slots], b)
-                layouts[profile] = b, cols, fill, q ** (N - 1 - cols), nfixed, pieces
-            b, cols, fill, place, nfixed, pieces = layouts[profile]
+                layouts[profile, b] = cols, fill, q ** (N - 1 - cols), nfixed, pieces
+            cols, fill, place, nfixed, pieces = layouts[profile, b]
             for lo in range(0, len(stack), q**b):
                 block = np.zeros((q**b, r, N), dtype=np.int64)
                 block[:, 0] = lead

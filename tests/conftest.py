@@ -1,11 +1,12 @@
 """Shared test helpers: tiny independent oracles built only on the scalar
 field operations, so they share no code path with the batch kernels or
-the closed forms they are used to check."""
+the closed forms they are used to check, and ``span_ranks``, the
+elimination oracle for the searches that read ranks off the walk."""
 
 import numpy as np
 import pytest
 
-from detcodes import make_field
+from detcodes import _kernels, make_field, matq
 
 
 def scalar_rank(field, M):
@@ -39,6 +40,27 @@ def naive_codeword(field, F, points):
     """Evaluate the form with coefficient matrix F point by point."""
     F = np.asarray(F)
     return [scalar_dot(field, F.flatten(), P.flatten()) for P in points]
+
+
+def span_ranks(field, bases, l, m):
+    """(S, q^r) ranks, as l x m matrices, of the elements spanned by each
+    basis of an (S, r, l*m) stack, in ``matq.coeff_vectors`` order.
+
+    Every element is built and eliminated by ``_kernels.rank_batch``, so
+    no rank is read off ``matq.rank_table``.  The elements are built a
+    block of coefficient vectors at a time, at most
+    ``_kernels._RANK_CHUNK`` entries (or one vector for a wider stack).
+    """
+    S, r, N = bases.shape
+    q = field.q
+    out = np.empty((S, q**r), dtype=np.int64)
+    per = max(1, _kernels._RANK_CHUNK // max(1, S * N))  # coefficient vectors per block
+    for lo in range(0, q**r, per):
+        hi = min(lo + per, q**r)
+        coeffs = matq._base_q_digits(np.arange(lo, hi, dtype=np.int64), q, r)
+        elems = _kernels.gf_matmul(field, coeffs, bases)
+        out[:, lo:hi] = _kernels.rank_batch(field, elems.reshape(-1, l, m)).reshape(S, hi - lo)
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import math
 import tracemalloc
@@ -8,11 +10,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from detcodes import _kernels, counting, detcode, formulas, make_field, matq, rank1
+from detcodes import _kernels, cli, counting, detcode, formulas, make_field, matq, rank1
 from detcodes.errors import BudgetExceeded, ShapeMismatch
 from detcodes.gf import parse_q
 
-from conftest import naive_codeword
+from conftest import naive_codeword, span_ranks
 
 
 def test_evaluate_examples(f2):
@@ -192,6 +194,7 @@ BLOCKS_OF_7 = {
 def test_walk_agrees_across_chunk_boundaries(p, e, l, m, mode, monkeypatch):
     f = make_field(p, e)
     ts = range(0 if mode == "affine" else 1, l + 1)
+    matq._walk.cache_clear()  # the table is walked once per process: walk it here
     one_chunk = {t: (matq.enumerate_matrices(f, l, m, t, mode),
                      detcode.rank_trace_counts(f, l, m, t, mode)) for t in ts}
     monkeypatch.setattr(_kernels, "_RANK_CHUNK", 7)
@@ -203,6 +206,7 @@ def test_walk_agrees_across_chunk_boundaries(p, e, l, m, mode, monkeypatch):
         return real(f, bases)
 
     monkeypatch.setattr(matq, "span_indices", spy)
+    matq._walk.cache_clear()  # walk again, in blocks of 7
     matq.rank_table(f, l, m)
     monkeypatch.setattr(matq, "span_indices", real)
     assert chunks == BLOCKS_OF_7[p, e, l, m]
@@ -377,7 +381,7 @@ def _eliminated_searches(field, l, m, r, t):
     e0 = np.eye(1, l * m, dtype=np.int64)[0]
     best, witness = -1, None
     for batch in matq.subspace_batches(field, l * m, r):
-        ranks = matq.span_ranks(field, batch, l, m)
+        ranks = span_ranks(field, batch, l, m)
         for mode, wt in wts.items():
             hists[mode].update((wt[ranks].sum(axis=1) // (q**r - q ** (r - 1))).tolist())
         counts = (ranks == 1).sum(axis=1)
@@ -453,18 +457,20 @@ def test_searches_visit_only_the_spaces_that_contain_E_j(q, l, m, r, monkeypatch
     N = l * m
     one_rank = counting.gaussian_binomial(N - 1, r - 1, q)
     dual = counting.gaussian_binomial(N - 1, N - r - 1, q)
-    calls = []
+    calls, grown = [], []
     real = matq.subspace_batches
 
-    def spy(field, N, k):
+    def spy(field, N, k, grow=False):
         calls.append([N, k, 0])
-        for stack in real(field, N, k):
+        grown.append(grow)
+        for stack in real(field, N, k, grow):
             calls[-1][2] += len(stack)
             yield stack
 
     monkeypatch.setattr(matq, "subspace_batches", spy)
     detcode._primal_ghw(f, l, m, 1, "projective", r, prune=False)
     assert calls == [[N - 1, r - 1, one_rank]] * l
+    assert grown == [True] + [False] * (l - 1)  # only the search's first stack grows
     for t in range(1, l + 1):
         calls.clear()
         detcode.max_section(f, l, m, t, "projective", N - r, prune=False)
@@ -486,22 +492,54 @@ def test_searches_visit_only_the_spaces_that_contain_E_j(q, l, m, r, monkeypatch
 
 
 def test_pruned_searches_stop_in_their_first_stack(f2, monkeypatch):
-    # q=2 2x4 r=5: d_5 = 38 = 45 - 7 meets the dual floor, and 17 rank-1
-    # forms meet the ceiling; both are reached in the first stack of j = 1
+    # the benchmark's subspace_search cells, and every search that verify
+    # runs at q=2 2x4, meet their proven bound at the first space of E_1,
+    # which is the first stack of one basis, and stop there; at 2x4 r=5
+    # d_5 = 38 = 45 - 7 meets the dual floor, and 17 rank-1 forms the
+    # ceiling.  verify searches d_r at r = 1, 2, 3, 6, 7 in both modes
+    # when t = 1 (r = 8 needs no search; r = 4, 5 are past its cap) and
+    # the rank-1 maxima at r = 6, 7, 8.
+    f3 = make_field(3)
     stacks = []
     real = matq.subspace_batches
 
-    def spy(field, N, k):
-        for stack in real(field, N, k):
-            stacks.append(len(stack))
+    def spy(field, N, k, grow=False):
+        stacks.append([])
+        for stack in real(field, N, k, grow):
+            stacks[-1].append(len(stack))
             yield stack
 
     monkeypatch.setattr(matq, "subspace_batches", spy)
     assert detcode.brute_ghw(f2, 2, 4, 1, "projective", 5) == 38
-    assert len(stacks) == 1
-    stacks.clear()
+    assert detcode.brute_ghw(f3, 2, 3, 1, "projective", 4) == 48
+    assert detcode.brute_ghw(f2, 2, 4, 1, "projective", 6) == 42
     assert rank1.max_rank1_exhaustive(f2, 2, 4, 5)[0] == 17
-    assert len(stacks) == 1
+    assert rank1.max_rank1_exhaustive(f3, 2, 3, 4)[0] == 32
+    assert stacks == [[1]] * 5
+    for t in (1, 2):
+        stacks.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.dispatch(["verify", "--q", "2", "--l", "2", "--m", "4", "--t", str(t)]) == 0
+        assert stacks == [[1]] * (13 if t == 1 else 3)
+
+
+def test_over_budget_searches_walk_nothing(f2, monkeypatch):
+    # q=2 5x5 r=10: each side visits far more than SUBSPACE_BUDGET spaces,
+    # and every search refuses before it walks the space or builds a domain
+    detcode.make_domain.cache_clear()
+    matq._walk.cache_clear()
+
+    def no_walk(*args):
+        raise AssertionError("walked before the subspace budget check")
+
+    monkeypatch.setattr(matq, "rank_table", no_walk)
+    monkeypatch.setattr(detcode, "make_domain", no_walk)
+    for search in (lambda: detcode.brute_ghw(f2, 5, 5, 1, "projective", 10),
+                   lambda: detcode._primal_ghw(f2, 5, 5, 1, "projective", 10),
+                   lambda: detcode.max_section(f2, 5, 5, 1, "projective", 15),
+                   lambda: detcode.subcode_spectrum(f2, 5, 5, 1, "affine", 10)):
+        with pytest.raises(BudgetExceeded, match="subspaces exceed the budget"):
+            search()
 
 
 def _bound_cells():

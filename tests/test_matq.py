@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detcodes import _kernels, counting, make_field
+from detcodes import _kernels, counting, detcode, make_field
 from detcodes import matq
 from detcodes._kernels import gf_matmul
 from detcodes.errors import BadParameters, BudgetExceeded, EmptyVariety, IndexOutOfRange
 
-from conftest import scalar_rank
+from conftest import scalar_rank, span_ranks
 
 # GF(9) is an extension field of odd characteristic; p = 1031 lies above
 # gf.TABLE_MAX_Q, so it is reduced mod p with no tables.
@@ -133,7 +134,7 @@ def test_span_ranks_matches_scalar_oracle(p, e):
     l, m = 2, 3
     for r in range(4):
         bases = rng.integers(0, f.q, size=(3, r, l * m), dtype=np.int64)
-        got = matq.span_ranks(f, bases, l, m)
+        got = span_ranks(f, bases, l, m)
         assert got.shape == (3, f.q**r)
         for basis, ranks in zip(bases, got):
             span = matq.span_vectors(f, basis)
@@ -260,6 +261,7 @@ def _walk(field, l, m, mp):
         return real(f, bases)
 
     mp.setattr(matq, "span_indices", spy)
+    matq._walk.cache_clear()  # a cached table would skip the walk
     table = matq.rank_table(field, l, m)
     mp.setattr(matq, "span_indices", real)
     return blocks, table
@@ -344,6 +346,7 @@ def test_rank_table_matches_oracles(p, e, l, m, monkeypatch):
     # 7 fills the table over many walk blocks, the default in one or a few
     for chunk in (7, _kernels._RANK_CHUNK):
         monkeypatch.setattr(_kernels, "_RANK_CHUNK", chunk)
+        matq._walk.cache_clear()  # a cached table would skip the walk
         table = matq.rank_table(f, l, m)
         assert table.dtype == np.uint8 and table.shape == (f.q ** (l * m),)
         assert np.array_equal(table, expected)
@@ -353,6 +356,7 @@ def test_rank_table_memory_is_the_table(f2):
     # GF(2) 4x5: the table is 1 MiB, and each block of 2,048 prefixes
     # spans 16 values apiece.
     f2.tables, f2.inverses
+    matq._walk.cache_clear()
     tracemalloc.start()
     try:
         table = matq.rank_table(f2, 4, 5)
@@ -367,6 +371,7 @@ def test_tall_rank_table_grows_its_transpose(f2):
     # 12 x 1 is the transpose of 1 x 12, whose table needs no field
     # arithmetic; growing 12 rows would span 2^11 values per prefix.
     space = _expected_walk(f2, 12, 1)
+    matq._walk.cache_clear()
     tracemalloc.start()
     try:
         table = matq.rank_table(f2, 12, 1)
@@ -387,6 +392,26 @@ def test_rank_table_budget_is_the_walks(f2, monkeypatch):
     monkeypatch.setattr(matq, "MATRIX_SPACE_BUDGET", 255)
     with pytest.raises(BudgetExceeded, match="MATRIX_SPACE_BUDGET = 255"):
         matq.rank_table(f2, 2, 4)
+
+
+def test_rank_table_walks_once_and_is_read_only(f3, monkeypatch):
+    matq._walk.cache_clear()
+    tall = matq.rank_table(f3, 3, 2)
+    table = matq.rank_table(f3, 2, 3)  # the one cached table is now 2 x 3
+    assert matq._walk.cache_info().currsize == 1
+
+    def no_walk(*args):
+        raise AssertionError("the table was walked again")
+
+    monkeypatch.setattr(matq, "span_indices", no_walk)
+    assert matq.rank_table(f3, 2, 3) is table
+    for t in (table, tall):
+        with pytest.raises(ValueError, match="read-only"):
+            t[0] = 1
+    # the budget is checked on every call, before the cache
+    monkeypatch.setattr(matq, "MATRIX_SPACE_BUDGET", 3**6 - 1)
+    with pytest.raises(BudgetExceeded, match="MATRIX_SPACE_BUDGET = 728"):
+        matq.rank_table(f3, 2, 3)
 
 
 def _span_values(field, basis):
@@ -487,17 +512,36 @@ def test_subspace_stacks_are_aligned_powers_of_q(p, e, N, r, batch, monkeypatch)
     f = make_field(p, e)
     q = f.q
     S = max(s for s in range(13) if q**s <= batch)
-    stacks = list(matq.subspace_batches(f, N, r))
-    for stack in stacks:
-        pivots = (stack[0] != 0).argmax(axis=1)
-        slots = matq._profile_free_slots(N, pivots.tolist())
-        si, sj = np.array(slots, dtype=np.int64).reshape(-1, 2).T
-        fillings = stack[:, si, sj] @ q ** np.arange(len(slots) - 1, -1, -1)
-        size = q ** min(S, len(slots))
-        assert len(stack) == size and fillings[0] % size == 0
-        assert fillings.tolist() == list(range(fillings[0], fillings[0] + size))
-    assert any(len(stack) == q**S for stack in stacks) or r in (0, N)
-    assert np.array_equal(np.concatenate(stacks), np.array(list(_reference_subspaces(q, N, r))))
+    # grown, the first stack, of the first profile with r * (N - r) free
+    # slots, is cut into one basis, then q - 1 stacks of each q^g below
+    # its size
+    first = min(S, r * (N - r))
+    for grown in ([], [1] + [q**g for g in range(first) for _ in range(q - 1)]):
+        stacks = list(matq.subspace_batches(f, N, r, grow=bool(grown)))
+        sizes = []
+        for stack in stacks:
+            pivots = (stack[0] != 0).argmax(axis=1)
+            slots = matq._profile_free_slots(N, pivots.tolist())
+            si, sj = np.array(slots, dtype=np.int64).reshape(-1, 2).T
+            fillings = stack[:, si, sj] @ q ** np.arange(len(slots) - 1, -1, -1)
+            size = q ** min(S, len(slots)) if len(sizes) >= len(grown) else grown[len(sizes)]
+            assert len(stack) == size and fillings[0] % size == 0
+            assert fillings.tolist() == list(range(fillings[0], fillings[0] + size))
+            sizes.append(size)
+        assert sizes[: len(grown)] == grown and sum(sizes[: len(grown)]) in (0, q**first)
+        assert any(len(stack) == q**S for stack in stacks) or r in (0, N)
+        want = np.array(list(_reference_subspaces(q, N, r)))
+        assert np.array_equal(np.concatenate(stacks), want)
+
+
+def _assert_aligned(q, R):
+    """A block of RREF bases R, all of one pivot profile, runs over
+    consecutive fillings of its free slots from a multiple of its size."""
+    slots = matq._profile_free_slots(R.shape[2], (R[0] != 0).argmax(axis=1).tolist())
+    si, sj = np.array(slots, dtype=np.int64).reshape(-1, 2).T
+    fillings = R[:, si, sj] @ q ** np.arange(len(slots) - 1, -1, -1)
+    assert len(R) == q ** round(math.log(len(R), q)) and fillings[0] % len(R) == 0
+    assert fillings.tolist() == list(range(fillings[0], fillings[0] + len(R)))
 
 
 def _reduced_bases(q, l, m, r, j):
@@ -517,7 +561,7 @@ def _elimination_stream(field, l, m, r):
     eliminated by ``span_ranks``."""
     bases = np.concatenate([_reduced_bases(field.q, l, m, r, j) for j in range(1, l + 1)])
     js = np.repeat(np.arange(1, l + 1), len(bases) // l)
-    return js, bases, matq.span_ranks(field, bases, l, m)
+    return js, bases, span_ranks(field, bases, l, m)
 
 
 @pytest.mark.parametrize("p,e,l,m", [(2, 1, 2, 3), (3, 1, 2, 2), (2, 2, 2, 2)])
@@ -554,9 +598,27 @@ def test_span_rank_batches_match_elimination_at_chunk_boundaries(p, e, l, m, dim
         for r, (js, bases, ranks) in want.items():
             blocks = list(matq.span_rank_batches(f, l, m, r, range(1, l + 1)))
             assert all(got.size <= chunk or len(b) == 1 for _, b, got in blocks)
+            for _, b, _ in blocks:
+                _assert_aligned(f.q, b[:, 1:, 1:])
+            assert len(blocks[0][1]) == 1  # the search starts with one basis
             assert np.array_equal(np.concatenate([[j] * len(b) for j, b, _ in blocks]), js)
             assert np.array_equal(np.concatenate([b for _, b, _ in blocks]), bases)
             assert np.array_equal(np.concatenate([got for _, _, got in blocks]), ranks)
+
+
+@pytest.mark.parametrize("p,e,l,m", [(2, 1, 2, 3), (3, 1, 2, 2), (2, 2, 2, 2)])
+def test_unpruned_sections_are_the_first_maximizers_in_canonical_order(p, e, l, m):
+    # the grown first blocks move no maximum and no witness: both come
+    # from the reference order, every span element eliminated
+    f = make_field(p, e)
+    for s in range(1, l * m + 1):
+        js, bases, ranks = _elimination_stream(f, l, m, s)
+        for t in range(1, l + 1):
+            counts = ((ranks > 0) & (ranks <= t)).sum(axis=1)[js <= t]
+            i = int(counts.argmax())
+            for mode, points in (("projective", counts[i] // (f.q - 1)), ("affine", counts[i] + 1)):
+                best, witness = detcode.max_section(f, l, m, t, mode, s, prune=False)
+                assert (best, witness.tolist()) == (points, bases[i].tolist())
 
 
 def test_rank_invariant_under_normal_form_factors(f3):

@@ -11,6 +11,8 @@ from detcodes import _kernels, gf, matq, rank1
 from detcodes.counting import rank1_bound
 from detcodes.errors import BadParameters, EquationViolated, NotRankOne
 
+from conftest import span_ranks
+
 
 def _rank1_matrices(field, l, m):
     """Every l x m rank-1 matrix: the t=1 affine domain less its zero matrix."""
@@ -173,7 +175,7 @@ def test_count_rank1_matches_elimination_on_random_bases(p, e, l, m):
     for r in range(0, min(l * m, 4) + 1):
         for _ in range(3):
             basis = rng.integers(0, f.q, size=(r, l * m))
-            want = int((matq.span_ranks(f, basis[None], l, m) == 1).sum())
+            want = int((span_ranks(f, basis[None], l, m) == 1).sum())
             assert rank1.count_rank1(f, basis, l, m) == want
 
 

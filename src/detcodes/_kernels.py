@@ -4,8 +4,8 @@ Two kernels serve every field and every caller.  One batched in-place
 reduction to reduced row echelon form: ``rank_batch`` keeps only its
 ranks, while ``matq.rref`` and ``matq.normal_form`` read the reduced
 matrices.  One product, ``gf_matmul``: the walk of the matrix space in
-``matq.rank_table`` reaches it through ``matq.span_indices`` and
-eliminates nothing.  Only their arithmetic depends on the field: prime
+``matq.rank_table`` and the subspace searches reach it through
+``matq._span_values`` and eliminate nothing.  Only their arithmetic depends on the field: prime
 fields reduce integer arithmetic mod p, so any p up to ``gf.MAX_Q``
 works without tables; extension fields look sums and products up in
 ``Field.tables``, so they are limited to ``gf.TABLE_MAX_Q``.  The

@@ -114,7 +114,8 @@ def rank_trace_counts(field, l, m, t, mode) -> tuple[np.ndarray, np.ndarray]:
     that have rank j and tau_r != 0, for r = 0..l.  Both are counted one
     chunk at a time, so besides the table no array spans the space.
     """
-    table = matq._variety_table(field, l, m, t, mode)
+    matq._check_variety(l, m, t, mode)
+    table = matq.rank_table(field, l, m)
     chunk = _kernels._RANK_CHUNK
     rank_counts = np.zeros(l + 1, dtype=np.int64)
     for lo in range(0, len(table), chunk):
@@ -189,12 +190,12 @@ def naive_weight_enumerator(field, l, m, t, mode) -> SpectrumReport:
     h = k // 2
     gen = generator_matrix(dom)
     small = np.min_scalar_type(q - 1)
-    tails = gf_matmul(field, matq._base_q_digits(np.arange(q**h), q, h), gen[k - h :])
+    tails = gf_matmul(field, matq.coeff_vectors(field, h), gen[k - h :])
     tails = tails.astype(small)
     planes, width = (q - 1).bit_length(), -(-n // 64)
     tail_planes = _bit_planes(tails, planes, width)
     zero_head = np.bincount(np.count_nonzero(tails, axis=1), minlength=n + 1)
-    heads = matq._base_q_digits(np.arange(q ** (k - h)), q, k - h)
+    heads = matq.coeff_vectors(field, k - h)
     lead = heads[np.arange(len(heads)), (heads != 0).argmax(axis=1)]
     heads = heads[lead == 1]
     per = max(1, _kernels._RANK_CHUNK // (q**h * width))
@@ -295,6 +296,7 @@ def max_section(field, l, m, t, mode, s, prune: bool = True) -> tuple[int, np.nd
     AssertionError; ``prune`` stops at the first S that reaches it, which
     is the first maximizer.  Unpruned, every S is visited: the oracle.
     """
+    matq._check_variety(l, m, t, mode)
     q = field.q
     if s == 0:
         return int(mode == "affine"), np.zeros((0, l * m), dtype=np.int64)
@@ -320,6 +322,7 @@ def _primal_ghw(field, l, m, t, mode, r, prune: bool = True) -> int:
     n - ``_section_ceiling``(N - r) raises AssertionError; ``prune`` stops
     at the first block that meets it.  Unpruned, every D is visited.
     """
+    matq._check_variety(l, m, t, mode)
     floor = None
     for _, _, supports in _subspace_supports(field, l, m, t, mode, r):
         if floor is None:  # built once the search has passed its budget check
@@ -339,6 +342,7 @@ def brute_ghw(field, l, m, t, mode, r, prune: bool = True) -> int:
     (q, l, m, t, r): the subcodes (``_primal_ghw``, l * [N-1, r-1]_q * q^r)
     or the sections (``max_section``, t * [N-1, N-r-1]_q * q^(N-r)).
     """
+    matq._check_variety(l, m, t, mode)
     q, N = field.q, l * m
     if not 1 <= r <= N:
         raise BadParameters(f"subcode dimension r={r} not in [1, {N}]")
@@ -361,6 +365,7 @@ def subcode_spectrum(field, l, m, t, mode, r) -> dict[int, int]:
 
     The sums are exact fractions, and each total is asserted integral.
     """
+    matq._check_variety(l, m, t, mode)
     if not 1 <= r <= l * m:
         raise BadParameters(f"subcode dimension r={r} not in [1, {l * m}]")
     q = field.q

@@ -114,15 +114,19 @@ def _walk(field, l: int, m: int) -> np.ndarray:
     """The one walk of the matrix space, grown a row at a time from the
     1 x m table, where the rank is [v != 0].  A k-row matrix's value is
     prefix * q^m + last row, so the k-row table is a (prefixes, q^m)
-    grid, filled in blocks of whole prefixes, at most
-    ``_kernels._RANK_CHUNK`` entries when q^m fits.  Since rank([P; v])
-    = rank(P) + [v not in rowspace P], a prefix P's row is rank(P) + 1,
-    read off the (k-1)-row table, except at the values c @ P that
-    ``span_indices`` lists, where it is rank(P); a rank-deficient P lists
-    some twice and writes the same rank again.  So the ranks come from
-    linear algebra, not from any count, and nothing is eliminated.  A
-    tall space is ranked as its transpose, whose prefixes span fewer
-    values.
+    grid.  Since rank([P; v]) = rank(P) + [v not in rowspace P], a prefix
+    P's row is rank(P) + 1, read off the (k-1)-row table, except at the
+    values c @ P that P spans, where it is rank(P); a rank-deficient P
+    spans some twice and writes the same rank again.  So the ranks come
+    from linear algebra, not from any count, and nothing is eliminated.
+
+    A prefix is a (k-1, m) basis whose value's last b digits are its last
+    b row-major entries.  So the grid is filled in blocks of aligned runs
+    of q^b prefixes, q^b the largest power of q up to the
+    ``_kernels._RANK_CHUNK // q^m`` prefixes of a block (or one prefix),
+    and ``_span_values`` lists each run's spans from its first prefix, its
+    head: digits are built for the heads only.  A tall space is ranked as
+    its transpose, whose prefixes span fewer values.
     """
     q = field.q
     if l > m:  # rank is unchanged by transposition
@@ -133,31 +137,34 @@ def _walk(field, l: int, m: int) -> np.ndarray:
     rows = q**m
     table = np.ones(rows, dtype=np.uint8)
     table[0] = 0
-    per = max(1, _kernels._RANK_CHUNK // rows)  # prefixes per block
+    per = max(1, _kernels._RANK_CHUNK // rows)  # prefixes per block, at most
     for k in range(2, l + 1):
         prefix_ranks, table = table, np.empty(q ** (k * m), dtype=np.uint8)
         grid = table.reshape(-1, rows)
-        for lo in range(0, len(grid), per):
-            hi = min(lo + per, len(grid))
-            P = _base_q_digits(np.arange(lo, hi, dtype=np.int64), q, (k - 1) * m)
+        b = min(_max_power(q, per), (k - 1) * m)
+        slots = [(i, j) for i in range(k - 1) for j in range(m)]  # row major
+        layout = _block_layout(field, coeff_vectors(field, k - 1), m, slots, b)
+        step = per // q**b * q**b  # whole runs per block
+        for lo in range(0, len(grid), step):
+            hi = min(lo + step, len(grid))
+            heads = _base_q_digits(np.arange(lo, hi, q**b, dtype=np.int64), q, (k - 1) * m)
+            values = _span_values(field, heads.reshape(-1, k - 1, m), layout)
             ranks = prefix_ranks[lo:hi, None]
             grid[lo:hi] = ranks + 1
-            np.put_along_axis(grid[lo:hi], span_indices(field, P.reshape(hi - lo, k - 1, m)),
-                              ranks, axis=1)
+            np.put_along_axis(grid[lo:hi], values.reshape(hi - lo, -1), ranks, axis=1)
     table.setflags(write=False)
     return table
 
 
-def _variety_table(field, l: int, m: int, t: int, mode: str) -> np.ndarray:
-    """``rank_table`` of the l x m space, once the rank-<=t variety's
-    parameters are checked."""
+def _check_variety(l: int, m: int, t: int, mode: str) -> None:
+    """Raise unless (l, m, t, mode) names a rank-<=t variety that the codes
+    are defined on; called before any walk."""
     if mode not in ("affine", "projective"):
         raise BadParameters(f"mode must be affine or projective, got {mode!r}")
     if not 0 <= t <= l <= m:
         raise BadParameters(f"need 0 <= t <= l <= m, got t={t}, l={l}, m={m}")
     if mode == "projective" and t == 0:
         raise EmptyVariety("the projective rank-0 locus is empty")
-    return rank_table(field, l, m)
 
 
 def _domain_chunks(table: np.ndarray, q: int, l: int, m: int, t: int, mode: str):
@@ -184,7 +191,8 @@ def enumerate_matrices(field, l: int, m: int, t: int, mode: str) -> np.ndarray:
     Projective representatives are scaled so the first nonzero row-major
     entry is 1.  Order is lexicographic in row-major entry tuples.
     """
-    table = _variety_table(field, l, m, t, mode)
+    _check_variety(l, m, t, mode)
+    table = rank_table(field, l, m)
     parts, kept = [], 0
     for pts, _ in _domain_chunks(table, field.q, l, m, t, mode):
         parts.append(pts)
@@ -261,55 +269,28 @@ def enumerate_subspaces(field, N: int, r: int):
 
 
 def coeff_vectors(field, r: int) -> np.ndarray:
-    """All q^r coefficient vectors of length r, lexicographic."""
-    return _base_q_digits(np.arange(field.q**r, dtype=np.int64), field.q, r)
+    """All q^r coefficient vectors of length r, lexicographic: row i holds
+    the base-q digits of i, with no integer division."""
+    return np.indices((field.q,) * r, dtype=np.int64).reshape(r, field.q**r).T
 
 
-def span_vectors(field, basis: np.ndarray) -> np.ndarray:
-    """All q^r vectors of the row space of an (r, N) basis, in
-    ``coeff_vectors`` order."""
-    return gf_matmul(field, coeff_vectors(field, basis.shape[0]), basis)
+def _block_layout(field, coeffs: np.ndarray, N: int, slots, b: int):
+    """How ``_span_values`` sums the span values, over the (q^r, r)
+    ``coeff_vectors`` coeffs, of an aligned block of q^b (r, N) bases that
+    share every entry but the last b of ``slots``, which run over all
+    their fillings, in base-q order.
 
-
-def span_indices(field, bases: np.ndarray) -> np.ndarray:
-    """(S, q^r) base-q values of the elements spanned by each basis of an
-    (S, r, N) stack, in ``coeff_vectors`` order.
-
-    This serves the walk in ``rank_table``, whose prefix stacks are
-    neither in RREF nor aligned to a pivot profile.  Digit k of the
-    elements of a span is C @ b_k, with C the coefficient vectors and b_k
-    column k of the basis, so it depends on b_k alone.  A stack has at
-    most q^r distinct columns: one product over those gives every digit,
-    and the values are accumulated a digit at a time, most significant
-    first.
-    """
-    S, r, N = bases.shape
-    q = field.q
-    C = coeff_vectors(field, r)
-    # a column's base-q value is its row of C
-    cols = bases.transpose(0, 2, 1) @ q ** np.arange(r - 1, -1, -1, dtype=np.int64)
-    uniq, inv = np.unique(cols, return_inverse=True)
-    inv = inv.reshape(S, N)
-    digits = gf_matmul(field, C[uniq], C.T)  # (distinct columns, q^r)
-    out = np.zeros((S, q**r), dtype=np.int64)
-    for k in range(N):
-        out *= q
-        out += digits[inv[:, k]]
-    return out
-
-
-def _block_layout(q: int, N: int, r: int, slots, b: int):
-    """How ``span_rank_batches`` sums the span values of an aligned block
-    of q^b bases of one pivot profile with free ``slots``.
-
-    Returns (cols, fill, nfixed, pieces).  Row k of the column vectors is
-    column cols[k] of the block's first basis plus fill[k].  The first
+    Returns (b, coeffs.T, cols, fill, place, nfixed, pieces), which
+    shares coeffs with every other layout over them.  Row k of a block's
+    column vectors is column cols[k] of the block's first basis plus
+    fill[k], with place value place[k] = q^(N-1-cols[k]).  The first
     nfixed rows are the columns that hold none of the last b slots.  Each
     piece (lo, hi, shape) covers the rows of one column j that holds g of
     them: its q^g fillings, whose digits form a table of broadcast
     ``shape``, q on the axes of those slots, 1 on the other b axes, then
     q^r.
     """
+    q, r = field.q, coeffs.shape[1]
     tail = slots[len(slots) - b :]
     tail_cols = sorted({j for _, j in tail})
     cols = [j for j in range(N) if j not in tail_cols]
@@ -318,14 +299,41 @@ def _block_layout(q: int, N: int, r: int, slots, b: int):
     for j in tail_cols:
         axes = [k for k, (_, jk) in enumerate(tail) if jk == j]
         fill = np.zeros((q ** len(axes), r), dtype=np.int64)
-        fill[:, [tail[k][0] for k in axes]] = _base_q_digits(
-            np.arange(q ** len(axes), dtype=np.int64), q, len(axes)
-        )
+        fill[:, [tail[k][0] for k in axes]] = coeff_vectors(field, len(axes))
         pieces.append((len(cols), len(cols) + len(fill),
                        [q if k in axes else 1 for k in range(b)] + [q**r]))
         cols += [j] * len(fill)
         fills.append(fill)
-    return np.array(cols, dtype=np.int64), np.concatenate(fills), nfixed, pieces
+    cols = np.array(cols, dtype=np.int64)
+    return b, coeffs.T, cols, np.concatenate(fills), q ** (N - 1 - cols), nfixed, pieces
+
+
+def _span_values(field, heads: np.ndarray, layout) -> np.ndarray:
+    """(c, q^b, q^r) base-q values of the span elements, in
+    ``coeff_vectors`` order, of the q^b bases of each of c aligned blocks,
+    given their (c, r, N) first bases, the heads, and their
+    ``_block_layout``.  This one routine serves the walk in
+    ``rank_table`` and the searches in ``span_rank_batches``.
+
+    The value of span element x is sum_k q^(N-1-k) * (x @ b_k), with b_k
+    column k of the basis: its digits sit in distinct places, so the sum
+    is exact integer addition with no carries, and digit k depends on
+    column k alone.  A block's bases share every entry but the last b
+    slots, which are zero in its head.  So the block's values are one
+    vector, from the columns that hold no such slot, plus, for each
+    column that holds g of them, a (q^g, q^r) table of its digits over
+    their fillings, broadcast over those slots' axes of a (q,)*b + (q^r,)
+    array: row major, a column's slots come in increasing axis order.
+    """
+    b, coeffs, cols, fill, place, nfixed, pieces = layout
+    c, r, _ = heads.shape
+    vectors = heads.transpose(0, 2, 1)[:, cols] + fill  # (c, rows, r)
+    digits = gf_matmul(field, vectors.reshape(-1, r), coeffs).reshape(c, len(cols), -1)
+    digits *= place[:, None]
+    values = digits[:, :nfixed].sum(axis=1).reshape([c] + [1] * b + [-1])
+    for lo, hi, shape in pieces:
+        values = values + digits[:, lo:hi].reshape([c] + shape)
+    return values.reshape(c, field.q**b, -1)
 
 
 def span_rank_batches(field, l: int, m: int, r: int, js):
@@ -353,18 +361,10 @@ def span_rank_batches(field, l: int, m: int, r: int, js):
     reads q^r span elements, and a full one reads only about (q - 1) * b
     more blocks.
 
-    The value of span element c is sum_k q^(N-1-k) * (c @ b_k), with b_k
-    column k of the basis: its digits sit in distinct places, so the sum
-    is exact integer addition with no carries, and digit k depends on
-    column k alone.  The bases of a block share every entry but the last
-    b free slots of R, which run over all their fillings and are zero in
-    the block's first basis.  So the block's values are one vector, from
-    the columns that hold no such slot, plus, for each column that holds
-    g of them, a (q^g, q^r) table of its digits over their fillings,
-    broadcast over those slots' axes of a (q,)*b + (q^r,) array: row
-    major, a column's slots come in increasing axis order.  The row E_j
-    is shared by every basis, so it enters through the first basis like
-    any other shared entry.
+    The bases of a block share every entry but the last b free slots of
+    R, so ``_span_values`` gives its span values from its first basis.
+    The row E_j is shared by every basis, so it enters through the first
+    basis like any other shared entry.
     """
     q, N = field.q, l * m
     if not 1 <= r <= N:
@@ -383,20 +383,13 @@ def span_rank_batches(field, l: int, m: int, r: int, js):
             profile = tuple((stack[0] != 0).argmax(axis=1).tolist()) if r > 1 else ()  # R's pivots
             b = min(b_max, _max_power(q, len(stack)))  # a stack holds a power of q
             if (profile, b) not in layouts:
-                R_slots = _profile_free_slots(N - 1, profile)
-                cols, fill, nfixed, pieces = _block_layout(
-                    q, N, r, [(i + 1, c + 1) for i, c in R_slots], b)
-                layouts[profile, b] = cols, fill, q ** (N - 1 - cols), nfixed, pieces
-            cols, fill, place, nfixed, pieces = layouts[profile, b]
+                slots = [(i + 1, c + 1) for i, c in _profile_free_slots(N - 1, profile)]
+                layouts[profile, b] = _block_layout(field, C, N, slots, b)
             for lo in range(0, len(stack), q**b):
                 block = np.zeros((q**b, r, N), dtype=np.int64)
                 block[:, 0] = lead
                 block[:, 1:, 1:] = stack[lo : lo + q**b]
-                digits = gf_matmul(field, block[0].T[cols] + fill, C.T)
-                digits *= place[:, None]
-                values = digits[:nfixed].sum(axis=0)
-                for lo_k, hi_k, shape in pieces:
-                    values = values + digits[lo_k:hi_k].reshape(shape)
+                values = _span_values(field, block[:1], layouts[profile, b])
                 yield j, block, table[values.reshape(len(block), q**r)]
 
 

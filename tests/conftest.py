@@ -1,7 +1,8 @@
 """Shared test helpers: tiny independent oracles built only on the scalar
 field operations, so they share no code path with the batch kernels or
-the closed forms they are used to check, and ``span_ranks``, the
-elimination oracle for the searches that read ranks off the walk."""
+the closed forms they are used to check, ``span_vectors``, the span
+oracle, and ``span_ranks``, the elimination oracle for the searches that
+read ranks off the walk."""
 
 import numpy as np
 import pytest
@@ -40,6 +41,14 @@ def naive_codeword(field, F, points):
     """Evaluate the form with coefficient matrix F point by point."""
     F = np.asarray(F)
     return [scalar_dot(field, F.flatten(), P.flatten()) for P in points]
+
+
+def span_vectors(field, basis):
+    """All q^r vectors of the row space of an (r, N) basis, in
+    ``matq.coeff_vectors`` order, each the product of its digits with the
+    basis."""
+    q, r = field.q, basis.shape[0]
+    return _kernels.gf_matmul(field, matq._base_q_digits(np.arange(q**r), q, r), basis)
 
 
 def span_ranks(field, bases, l, m):

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from detcodes import _kernels, cli, counting, detcode, formulas, make_field, matq, rank1
-from detcodes.errors import BudgetExceeded, ShapeMismatch
+from detcodes.errors import BadParameters, BudgetExceeded, ShapeMismatch
 from detcodes.gf import parse_q
 
 from conftest import naive_codeword, span_ranks
@@ -199,16 +199,17 @@ def test_walk_agrees_across_chunk_boundaries(p, e, l, m, mode, monkeypatch):
                      detcode.rank_trace_counts(f, l, m, t, mode)) for t in ts}
     monkeypatch.setattr(_kernels, "_RANK_CHUNK", 7)
     chunks = []
-    real = matq.span_indices
+    real = matq._span_values
 
-    def spy(f, bases):  # the spans of a block's prefixes, one call per block
-        chunks.append(len(bases))
-        return real(f, bases)
+    def spy(f, heads, layout):  # the spans of a block's prefixes, one call per block
+        values = real(f, heads, layout)
+        chunks.append(values.shape[0] * values.shape[1])
+        return values
 
-    monkeypatch.setattr(matq, "span_indices", spy)
+    monkeypatch.setattr(matq, "_span_values", spy)
     matq._walk.cache_clear()  # walk again, in blocks of 7
     matq.rank_table(f, l, m)
-    monkeypatch.setattr(matq, "span_indices", real)
+    monkeypatch.setattr(matq, "_span_values", real)
     assert chunks == BLOCKS_OF_7[p, e, l, m]
     for t in ts:
         pts, (rank_counts, trace_counts) = one_chunk[t]
@@ -539,6 +540,25 @@ def test_over_budget_searches_walk_nothing(f2, monkeypatch):
                    lambda: detcode.max_section(f2, 5, 5, 1, "projective", 15),
                    lambda: detcode.subcode_spectrum(f2, 5, 5, 1, "affine", 10)):
         with pytest.raises(BudgetExceeded, match="subspaces exceed the budget"):
+            search()
+
+
+@pytest.mark.parametrize("l,m,t,mode", [(5, 4, 1, "projective"), (4, 5, 1, "projectiv"),
+                                        (4, 5, 0, "projective")])
+def test_invalid_searches_walk_nothing(f2, l, m, t, mode, monkeypatch):
+    # l > m, an unknown mode and the empty projective rank-0 locus are
+    # refused before the 2^20-matrix walk, on either side of brute_ghw
+    def no_walk(*args):
+        raise AssertionError("walked before the variety check")
+
+    monkeypatch.setattr(matq, "rank_table", no_walk)
+    for search in (lambda: detcode.brute_ghw(f2, l, m, t, mode, 1),
+                   lambda: detcode.brute_ghw(f2, l, m, t, mode, 19),
+                   lambda: detcode._primal_ghw(f2, l, m, t, mode, 1),
+                   lambda: detcode.max_section(f2, l, m, t, mode, 1),
+                   lambda: detcode.max_section(f2, l, m, t, mode, 0),
+                   lambda: detcode.subcode_spectrum(f2, l, m, t, mode, 1)):
+        with pytest.raises(BadParameters):
             search()
 
 

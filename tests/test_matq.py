@@ -12,7 +12,7 @@ from detcodes import matq
 from detcodes._kernels import gf_matmul
 from detcodes.errors import BadParameters, BudgetExceeded, EmptyVariety, IndexOutOfRange
 
-from conftest import scalar_rank, span_ranks
+from conftest import scalar_rank, span_ranks, span_vectors
 
 # GF(9) is an extension field of odd characteristic; p = 1031 lies above
 # gf.TABLE_MAX_Q, so it is reduced mod p with no tables.
@@ -137,7 +137,7 @@ def test_span_ranks_matches_scalar_oracle(p, e):
         got = span_ranks(f, bases, l, m)
         assert got.shape == (3, f.q**r)
         for basis, ranks in zip(bases, got):
-            span = matq.span_vectors(f, basis)
+            span = span_vectors(f, basis)
             assert ranks.tolist() == [scalar_rank(f, v.reshape(l, m)) for v in span]
 
 
@@ -252,29 +252,41 @@ WALK_SPACES = [
 
 def _walk(field, l, m, mp):
     """Blocks and table of one ``rank_table`` walk; a block is read off
-    its ``span_indices`` call, as (rows k, prefixes) of its k-row grid."""
+    its ``_span_values`` call, as (rows k, the base-q values of its head
+    prefixes, the q^b prefixes of a run) of its k-row grid."""
     blocks = []
-    real = matq.span_indices
+    real = matq._span_values
 
-    def spy(f, bases):
-        blocks.append((bases.shape[1] + 1, bases.shape[0]))
-        return real(f, bases)
+    def spy(f, heads, layout):
+        values = real(f, heads, layout)
+        c, r, N = heads.shape
+        starts = heads.reshape(c, r * N) @ f.q ** np.arange(r * N - 1, -1, -1)
+        blocks.append((r + 1, starts.tolist(), values.shape[1]))
+        return values
 
-    mp.setattr(matq, "span_indices", spy)
+    mp.setattr(matq, "_span_values", spy)
     matq._walk.cache_clear()  # a cached table would skip the walk
     table = matq.rank_table(field, l, m)
-    mp.setattr(matq, "span_indices", real)
+    mp.setattr(matq, "_span_values", real)
     return blocks, table
 
 
 def _assert_blocks(field, l, m, chunk, blocks):
-    """Each k-row grid, k = 2..l, is filled in order by blocks of at most
-    max(1, chunk // q^m) prefixes, which cover its q^((k-1)m) prefixes."""
-    assert [k for k, _ in blocks] == sorted(k for k, _ in blocks)
-    assert max((n for _, n in blocks), default=0) <= max(1, chunk // field.q**m)
+    """Each k-row grid, k = 2..l, is filled in order by blocks of aligned
+    runs of q^b prefixes, q^b the largest power of q up to both per =
+    max(1, chunk // q^m) and the grid's q^((k-1)m) prefixes: per // q^b
+    runs in every block but the grid's last, whose heads cover the grid."""
+    q, per = field.q, max(1, chunk // field.q**m)
+    assert [k for k, _, _ in blocks] == sorted(k for k, _, _ in blocks)
+    assert {k for k, _, _ in blocks} == set(range(2, l + 1))
     for k in range(2, l + 1):
-        assert sum(n for kk, n in blocks if kk == k) == field.q ** ((k - 1) * m)
-    assert {k for k, _ in blocks} == set(range(2, l + 1))
+        run = 1
+        while run * q <= min(per, q ** ((k - 1) * m)):
+            run *= q
+        grid = [(starts, size) for kk, starts, size in blocks if kk == k]
+        assert all(size == run and len(starts) * run <= per for starts, size in grid)
+        assert all(len(starts) == per // run for starts, _ in grid[:-1])
+        assert sum((starts for starts, _ in grid), []) == list(range(0, q ** ((k - 1) * m), run))
 
 
 def _expected_walk(field, l, m):
@@ -367,6 +379,19 @@ def test_rank_table_memory_is_the_table(f2):
     assert peak < 2.5 * (1 << 20)
 
 
+# The spaces of the spectrum benchmark and GF(7) 3x3, at the default
+# chunk: GF(5) and GF(7) 3x3 fill each block with 4 and 3 runs of
+# prefixes, which no space the scalar oracle can rank reaches.
+@pytest.mark.parametrize("p,e,l,m", [(2, 2, 3, 3), (5, 1, 3, 3), (3, 1, 3, 4), (2, 1, 4, 5),
+                                     (3, 2, 2, 3), (7, 1, 3, 3)])
+def test_rank_counts_are_mu_on_large_spaces(p, e, l, m):
+    f = make_field(p, e)
+    matq._walk.cache_clear()
+    counts = np.bincount(matq.rank_table(f, l, m), minlength=l + 1)
+    matq._walk.cache_clear()  # free the table
+    assert counts.tolist() == [counting.mu(l, m, r, f.q) for r in range(l + 1)]
+
+
 def test_tall_rank_table_grows_its_transpose(f2):
     # 12 x 1 is the transpose of 1 x 12, whose table needs no field
     # arithmetic; growing 12 rows would span 2^11 values per prefix.
@@ -403,7 +428,7 @@ def test_rank_table_walks_once_and_is_read_only(f3, monkeypatch):
     def no_walk(*args):
         raise AssertionError("the table was walked again")
 
-    monkeypatch.setattr(matq, "span_indices", no_walk)
+    monkeypatch.setattr(matq, "_span_values", no_walk)
     assert matq.rank_table(f3, 2, 3) is table
     for t in (table, tall):
         with pytest.raises(ValueError, match="read-only"):
@@ -414,42 +439,78 @@ def test_rank_table_walks_once_and_is_read_only(f3, monkeypatch):
         matq.rank_table(f3, 2, 3)
 
 
-def _span_values(field, basis):
-    """Reference: the span's elements built one by one, read as base-q."""
-    N = basis.shape[1]
+def test_coeff_vectors_are_lexicographic(f3, f4):
+    for f in (f3, f4):
+        for r in range(4):
+            want = list(itertools.product(range(f.q), repeat=r))
+            assert [tuple(c) for c in matq.coeff_vectors(f, r).tolist()] == want
+
+
+def _block_bases(field, heads, tail):
+    """(c, q^b, r, N): each head with its b tail slots filled by every
+    b-tuple of field elements, lexicographic, the first slot most
+    significant."""
+    rows, cols = np.array(tail, dtype=np.int64).reshape(-1, 2).T
+    fills = np.array(list(itertools.product(range(field.q), repeat=len(tail))), dtype=np.int64)
+    bases = np.repeat(heads[:, None], len(fills), axis=1)
+    bases[:, :, rows, cols] = fills
+    return bases
+
+
+def _assert_span_values(field, heads, slots, b):
+    """The span indices of aligned blocks, the base-q values by which
+    ``rank_table`` is indexed: ``_span_values`` of the heads, their last b
+    slots zeroed, equals every span element of every basis of their
+    blocks, read as base-q."""
+    c, r, N = heads.shape
+    tail = slots[len(slots) - b :]
+    for i, j in tail:
+        heads[:, i, j] = 0
+    layout = matq._block_layout(field, matq.coeff_vectors(field, r), N, slots, b)
+    got = matq._span_values(field, heads, layout)
+    assert got.shape == (c, field.q**b, field.q**r)
     powers = field.q ** np.arange(N - 1, -1, -1, dtype=np.int64)
-    return matq.span_vectors(field, basis) @ powers
-
-
-def _assert_span_indices(field, bases):
-    got = matq.span_indices(field, bases)
-    assert got.shape == (len(bases), field.q ** bases.shape[1])
-    for basis, row in zip(bases, got):
-        assert row.tolist() == _span_values(field, basis).tolist()
+    for block, values in zip(_block_bases(field, heads, tail), got):
+        for basis, row in zip(block, values):
+            assert row.tolist() == (span_vectors(field, basis) @ powers).tolist()
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
 def test_span_indices_match_span_vectors(p, e):
+    # row-major tails end in the last row and, past N slots, reach the
+    # row above; column-major tails put several slots in the last column
     f = make_field(p, e)
     rng = np.random.default_rng(17 * p + e)
     N = 4
-    for r in range(N + 1):  # r = 0 spans the zero element alone
-        for S in (1, 5):
-            bases = rng.integers(0, f.q, size=(S, r, N), dtype=np.int64)
-            _assert_span_indices(f, bases)
-        # repeated columns, within a basis and across the stack
-        bases = rng.integers(0, f.q, size=(3, r, N), dtype=np.int64)
-        bases[:, :, 2] = bases[:, :, 0]
-        bases[1:, :, 1] = bases[0, :, 1]
-        _assert_span_indices(f, bases)
-    assert matq.span_indices(f, np.zeros((2, 0, N), dtype=np.int64)).tolist() == [[0], [0]]
+    for r in range(1, N + 1):
+        row_major = [(i, j) for i in range(r) for j in range(N)]
+        column_major = [(i, j) for j in range(N) for i in range(r)]
+        for b in range(min(r * N, matq._max_power(f.q, 64)) + 1):  # b = 0: one basis a block
+            for slots, c in itertools.product((row_major, column_major), (1, 3)):
+                heads = rng.integers(0, f.q, size=(c, r, N), dtype=np.int64)
+                _assert_span_values(f, heads, slots, b)
+            # repeated columns, within a head and across the heads
+            heads = rng.integers(0, f.q, size=(3, r, N), dtype=np.int64)
+            heads[:, :, 2] = heads[:, :, 0]
+            heads[1:, :, 1] = heads[0, :, 1]
+            _assert_span_values(f, heads, row_major, b)
 
 
-@pytest.mark.parametrize("q,N,r", [(2, 4, 2), (3, 3, 2), (4, 3, 3), (2, 5, 5)])
-def test_span_indices_exhaustive_subspace_stacks(q, N, r):
+@pytest.mark.parametrize("q,N,r", [(2, 4, 2), (3, 3, 2), (4, 3, 3), (2, 5, 5), (2, 6, 3)])
+def test_span_indices_exhaustive_subspace_stacks(q, N, r, monkeypatch):
+    # a stack is an aligned block over its profile's free slots; its
+    # heads every q^b bases are the c > 1 heads of its aligned sub-blocks
     f = make_field(2, 2) if q == 4 else make_field(q)
-    for batch in matq.subspace_batches(f, N, r):
-        _assert_span_indices(f, batch)
+    monkeypatch.setattr(matq, "_SUBSPACE_BATCH", q**3)
+    powers = q ** np.arange(N - 1, -1, -1, dtype=np.int64)
+    for stack in matq.subspace_batches(f, N, r):
+        want = [(span_vectors(f, basis) @ powers).tolist() for basis in stack]
+        profile = tuple((stack[0] != 0).argmax(axis=1).tolist())
+        slots = matq._profile_free_slots(N, profile)
+        for b in range(matq._max_power(q, len(stack)) + 1):
+            layout = matq._block_layout(f, matq.coeff_vectors(f, r), N, slots, b)
+            got = matq._span_values(f, stack[:: q**b], layout)
+            assert got.reshape(len(stack), q**r).tolist() == want
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -458,13 +519,15 @@ def test_span_indices_match_span_vectors_on_random_stacks(data):
     p, e = data.draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]))
     f = make_field(p, e)
     N = data.draw(st.integers(1, 5))
-    r = data.draw(st.integers(0, min(N, 3)))
-    S = data.draw(st.integers(1, 6))
+    r = data.draw(st.integers(1, min(N, 3)))
+    slots = data.draw(st.permutations([(i, j) for i in range(r) for j in range(N)]))
+    b = data.draw(st.integers(0, min(r * N, matq._max_power(f.q, 64))))
+    c = data.draw(st.integers(1, 4))
     entries = st.integers(0, f.q - 1)
-    bases = np.array(
-        data.draw(st.lists(entries, min_size=S * r * N, max_size=S * r * N)), dtype=np.int64
-    ).reshape(S, r, N)
-    _assert_span_indices(f, bases)
+    heads = np.array(
+        data.draw(st.lists(entries, min_size=c * r * N, max_size=c * r * N)), dtype=np.int64
+    ).reshape(c, r, N)
+    _assert_span_values(f, heads, slots, b)
 
 
 def test_enumerate_subspaces_counts(f2, f3):

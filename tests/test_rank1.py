@@ -11,7 +11,7 @@ from detcodes import _kernels, gf, matq, rank1
 from detcodes.counting import rank1_bound
 from detcodes.errors import BadParameters, EquationViolated, NotRankOne
 
-from conftest import span_ranks
+from conftest import span_ranks, span_vectors
 
 
 def _rank1_matrices(field, l, m):
@@ -142,7 +142,7 @@ def test_count_rank1_examples(f2):
 
 
 def test_empty_basis_spans_only_the_zero_vector(f2):
-    zero = matq.span_vectors(f2, np.zeros((0, 5), dtype=np.int64))
+    zero = span_vectors(f2, np.zeros((0, 5), dtype=np.int64))
     assert zero.tolist() == [[0, 0, 0, 0, 0]]
     assert rank1.count_rank1(f2, np.zeros((0, 4), dtype=np.int64), 2, 2) == 0
 
@@ -212,15 +212,15 @@ def test_classify_space_exhaustive_agrees_with_count(f2):
             if cls.tag == "row":
                 elems = {
                     tuple(matq.outer(f2, cls.vector, v).ravel().tolist())
-                    for v in matq.span_vectors(f2, cls.subspace)
+                    for v in span_vectors(f2, cls.subspace)
                 }
             else:
                 elems = {
                     tuple(matq.outer(f2, u, cls.vector).ravel().tolist())
-                    for u in matq.span_vectors(f2, cls.subspace)
+                    for u in span_vectors(f2, cls.subspace)
                 }
             spanned = {
-                tuple(w.tolist()) for w in matq.span_vectors(f2, S)
+                tuple(w.tolist()) for w in span_vectors(f2, S)
             }
             assert elems == spanned
         else:
@@ -261,7 +261,7 @@ def test_max_rank1_witness_is_extremal_span(f2):
     assert (witness == expect).all()
     from detcodes._kernels import rank_batch
 
-    elems = matq.span_vectors(f2, witness)
+    elems = span_vectors(f2, witness)
     ranks = rank_batch(f2, elems.reshape(-1, 2, 2))
     assert int((ranks == 2).sum()) == 2
     assert int((ranks == 2).sum()) >= rank1_bound(3, 2, 2, 2).rank2_floor

@@ -227,7 +227,7 @@ def _verify_checks(field, l, m, t):
     out.append(check("closed-form lengths n, n_hat vs enumeration",
                      n == rank_counts[: t + 1].sum() and n_hat == len(proj_dom)))
     out.append(
-        check("rank-class counts sum to q^(l*m)",
+        check("closed-form rank-class counts mu sum to q^(l*m)",
               sum(counting.mu(l, m, r, q) for r in range(l + 1)) == q ** (l * m))
     )
     out.append(

@@ -59,15 +59,16 @@ def generator_matrix(dom: EvaluationDomain) -> np.ndarray:
     return dom.points.reshape(len(dom), dom.l * dom.m).T.copy()
 
 
-def _trace_nonzero(field, mats: np.ndarray) -> np.ndarray:
-    """(B, l+1) mask of tau_r(M) != 0 for r = 0..l over a (B, l, m) stack,
-    where the partial trace tau_r sums the first r diagonal entries."""
-    B, l, _ = mats.shape
+def _trace_nonzero(field, diag: np.ndarray) -> np.ndarray:
+    """(B, l+1) mask of tau_r != 0 for r = 0..l over the (B, l) diagonals
+    of B matrices, where the partial trace tau_r sums the first r
+    diagonal entries."""
+    B, l = diag.shape
     add = field.tables.add if field.e > 1 else None  # prime fields need no table
     acc = np.zeros(B, dtype=np.int64)
     out = np.zeros((B, l + 1), dtype=bool)
     for r in range(1, l + 1):
-        d = mats[:, r - 1, r - 1]
+        d = diag[:, r - 1]
         acc = (acc + d) % field.p if add is None else add[acc, d]
         out[:, r] = acc != 0
     return out
@@ -79,7 +80,8 @@ def weight_table(dom: EvaluationDomain) -> tuple[int, ...]:
 
     By the partial-trace reduction these are all the codeword weights.
     """
-    return tuple(int(w) for w in _trace_nonzero(dom.field, dom.points).sum(axis=0))
+    diag = np.diagonal(dom.points, axis1=1, axis2=2)
+    return tuple(int(w) for w in _trace_nonzero(dom.field, diag).sum(axis=0))
 
 
 def weight_of_form(dom: EvaluationDomain, F) -> int:
@@ -113,18 +115,25 @@ def rank_trace_counts(field, l, m, t, mode) -> tuple[np.ndarray, np.ndarray]:
     ``trace_counts[j, r]`` the number of points of the rank-<=t domain
     that have rank j and tau_r != 0, for r = 0..l.  Both are counted one
     chunk at a time, so besides the table no array spans the space.
+    Ranks are counted on the uint8 table itself, one comparison per rank,
+    with no widening; of each kept point's base-q value only the l
+    diagonal digits are decoded, entry (i, i) being digit i*(m+1) from
+    the most significant.
     """
     matq._check_variety(l, m, t, mode)
-    table = matq.rank_table(field, l, m)
+    q, table = field.q, matq.rank_table(field, l, m)
     chunk = _kernels._RANK_CHUNK
     rank_counts = np.zeros(l + 1, dtype=np.int64)
     for lo in range(0, len(table), chunk):
-        rank_counts += np.bincount(table[lo : lo + chunk], minlength=l + 1)
+        block = table[lo : lo + chunk]
+        rank_counts += [np.count_nonzero(block == j) for j in range(l + 1)]
+    places = q ** (l * m - 1 - np.arange(l, dtype=np.int64) * (m + 1))
     trace_counts = np.zeros((l + 1) ** 2, dtype=np.int64)
     cells = np.arange(l + 1)  # cell (j, r) is j * (l + 1) + r
-    for pts, ranks in matq._domain_chunks(table, field.q, l, m, t, mode):
+    for values, ranks in matq._domain_chunks(table, q, l, m, t, mode):
+        diag = values[:, None] // places % q
         cell = ranks.astype(np.int64)[:, None] * (l + 1) + cells
-        trace_counts += np.bincount(cell[_trace_nonzero(field, pts)], minlength=(l + 1) ** 2)
+        trace_counts += np.bincount(cell[_trace_nonzero(field, diag)], minlength=(l + 1) ** 2)
     return rank_counts, trace_counts.reshape(l + 1, l + 1)
 
 
@@ -282,6 +291,15 @@ def _section_ceiling(dom: EvaluationDomain, s: int) -> int:
     return min(bounds)
 
 
+def _check_search(l, m, t, mode) -> None:
+    """Raise unless the rank-<=t code has generalized weights to search;
+    called before any walk.  The affine rank-0 variety is the origin,
+    where every form vanishes, so its code is the zero code."""
+    matq._check_variety(l, m, t, mode)
+    if t == 0:
+        raise BadParameters("the rank-0 code is the zero code: it has no generalized weights")
+
+
 def max_section(field, l, m, t, mode, s, prune: bool = True) -> tuple[int, np.ndarray]:
     """Most points of the domain in an s-dimensional space S of l x m
     matrices (a maximal linear section of the variety), and the first
@@ -296,7 +314,7 @@ def max_section(field, l, m, t, mode, s, prune: bool = True) -> tuple[int, np.nd
     AssertionError; ``prune`` stops at the first S that reaches it, which
     is the first maximizer.  Unpruned, every S is visited: the oracle.
     """
-    matq._check_variety(l, m, t, mode)
+    _check_search(l, m, t, mode)
     q = field.q
     if s == 0:
         return int(mode == "affine"), np.zeros((0, l * m), dtype=np.int64)
@@ -322,7 +340,7 @@ def _primal_ghw(field, l, m, t, mode, r, prune: bool = True) -> int:
     n - ``_section_ceiling``(N - r) raises AssertionError; ``prune`` stops
     at the first block that meets it.  Unpruned, every D is visited.
     """
-    matq._check_variety(l, m, t, mode)
+    _check_search(l, m, t, mode)
     floor = None
     for _, _, supports in _subspace_supports(field, l, m, t, mode, r):
         if floor is None:  # built once the search has passed its budget check
@@ -342,7 +360,7 @@ def brute_ghw(field, l, m, t, mode, r, prune: bool = True) -> int:
     (q, l, m, t, r): the subcodes (``_primal_ghw``, l * [N-1, r-1]_q * q^r)
     or the sections (``max_section``, t * [N-1, N-r-1]_q * q^(N-r)).
     """
-    matq._check_variety(l, m, t, mode)
+    _check_search(l, m, t, mode)
     q, N = field.q, l * m
     if not 1 <= r <= N:
         raise BadParameters(f"subcode dimension r={r} not in [1, {N}]")
@@ -365,7 +383,7 @@ def subcode_spectrum(field, l, m, t, mode, r) -> dict[int, int]:
 
     The sums are exact fractions, and each total is asserted integral.
     """
-    matq._check_variety(l, m, t, mode)
+    _check_search(l, m, t, mode)
     if not 1 <= r <= l * m:
         raise BadParameters(f"subcode dimension r={r} not in [1, {l * m}]")
     q = field.q

@@ -168,9 +168,11 @@ def _check_variety(l: int, m: int, t: int, mode: str) -> None:
 
 
 def _domain_chunks(table: np.ndarray, q: int, l: int, m: int, t: int, mode: str):
-    """Yield (points, ranks) of the rank-<=t variety of l x m matrices,
-    in increasing base-q value, reading at most ``_kernels._RANK_CHUNK``
-    table entries per chunk; points are built for kept values only.
+    """Yield (values, ranks) of the points of the rank-<=t variety of
+    l x m matrices, in increasing base-q value, reading at most
+    ``_kernels._RANK_CHUNK`` table entries per chunk: the int64 base-q
+    values of the kept entries and their uint8 ranks.  No digit is
+    decoded here; each caller decodes the digits it reads.
 
     Affine points are all the values of rank <= t.  A projective point is
     represented by the multiple whose first nonzero entry is 1, so its
@@ -180,9 +182,8 @@ def _domain_chunks(table: np.ndarray, q: int, l: int, m: int, t: int, mode: str)
     for lo, hi in ranges:
         for clo in range(lo, hi, _kernels._RANK_CHUNK):
             ranks = table[clo : min(clo + _kernels._RANK_CHUNK, hi)]
-            keep = ranks <= t
-            values = np.arange(clo, clo + len(ranks), dtype=np.int64)[keep]
-            yield _base_q_digits(values, q, l * m).reshape(-1, l, m), ranks[keep]
+            keep = np.flatnonzero(ranks <= t)
+            yield clo + keep, ranks[keep]
 
 
 def enumerate_matrices(field, l: int, m: int, t: int, mode: str) -> np.ndarray:
@@ -194,9 +195,9 @@ def enumerate_matrices(field, l: int, m: int, t: int, mode: str) -> np.ndarray:
     _check_variety(l, m, t, mode)
     table = rank_table(field, l, m)
     parts, kept = [], 0
-    for pts, _ in _domain_chunks(table, field.q, l, m, t, mode):
-        parts.append(pts)
-        kept += len(pts)
+    for values, _ in _domain_chunks(table, field.q, l, m, t, mode):
+        parts.append(_base_q_digits(values, field.q, l * m).reshape(-1, l, m))
+        kept += len(values)
         if kept > DOMAIN_BUDGET:
             raise BudgetExceeded(f"domain exceeds its budget of {DOMAIN_BUDGET} points")
     return np.concatenate(parts)

@@ -269,6 +269,41 @@ def test_full_space_trace_count_memory_is_the_table(f2, monkeypatch):
     assert peak < 4 << 20
 
 
+@pytest.mark.parametrize("t,mode", [(1, "projective"), (1, "affine")])
+def test_counting_allocates_less_than_one_int64_chunk(f2, t, mode):
+    # With the 2^20-entry GF(2) 4x5 table walked, counting reads it as
+    # bytes: an int64 copy of one default chunk would be 8 * _RANK_CHUNK.
+    matq.rank_table(f2, 4, 5)
+    f2.tables, f2.inverses
+    tracemalloc.start()
+    try:
+        detcode.rank_trace_counts(f2, 4, 5, t, mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * _kernels._RANK_CHUNK
+
+
+@pytest.mark.parametrize("p,e,l,m", [(2, 1, 3, 3), (3, 1, 2, 3), (2, 2, 2, 3), (3, 2, 2, 2)])
+@pytest.mark.parametrize("mode", ["affine", "projective"])
+def test_rank_trace_counts_match_a_per_point_oracle(p, e, l, m, mode):
+    # every cell, built without the table: ranks by elimination over the
+    # whole space, traces one domain point at a time
+    f = make_field(p, e)
+    space = matq.coeff_vectors(f, l * m).reshape(-1, l, m)
+    ranks = _kernels.rank_batch(f, space.copy())
+    rank_counts = np.bincount(ranks, minlength=l + 1)
+    for t in range(0 if mode == "affine" else 1, l + 1):
+        cells = np.zeros((l + 1, l + 1), dtype=np.int64)
+        for M in detcode.make_domain(f, l, m, t, mode).points:
+            j = matq.rank(f, M)
+            for r in range(1, l + 1):
+                cells[j, r] += matq.partial_trace(f, M, r) != 0
+        got_ranks, got_cells = detcode.rank_trace_counts(f, l, m, t, mode)
+        assert got_ranks.tolist() == rank_counts.tolist()
+        assert got_cells.tolist() == cells.tolist()
+
+
 @pytest.mark.parametrize("q,l,m,t", [(2, 2, 2, 1), (2, 2, 2, 2), (3, 2, 2, 1), (2, 2, 3, 1)])
 def test_affine_projective_spectrum_transfer(q, l, m, t):
     f = make_field(q)
@@ -544,9 +579,10 @@ def test_over_budget_searches_walk_nothing(f2, monkeypatch):
 
 
 @pytest.mark.parametrize("l,m,t,mode", [(5, 4, 1, "projective"), (4, 5, 1, "projectiv"),
-                                        (4, 5, 0, "projective")])
+                                        (4, 5, 0, "projective"), (4, 5, 0, "affine")])
 def test_invalid_searches_walk_nothing(f2, l, m, t, mode, monkeypatch):
-    # l > m, an unknown mode and the empty projective rank-0 locus are
+    # l > m, an unknown mode, the empty projective rank-0 locus and the
+    # affine one, the origin alone, whose code is the zero code, are
     # refused before the 2^20-matrix walk, on either side of brute_ghw
     def no_walk(*args):
         raise AssertionError("walked before the variety check")

@@ -5,12 +5,21 @@ reduction to reduced row echelon form: ``rank_batch`` keeps only its
 ranks, while ``matq.rref`` and ``matq.normal_form`` read the reduced
 matrices.  One product, ``gf_matmul``: the walk of the matrix space in
 ``matq.rank_table`` and the subspace searches reach it through
-``matq._span_values`` and eliminate nothing.  Only their arithmetic depends on the field: prime
-fields reduce integer arithmetic mod p, so any p up to ``gf.MAX_Q``
-works without tables; extension fields look sums and products up in
-``Field.tables``, so they are limited to ``gf.TABLE_MAX_Q``.  The
-arithmetic is written inline for each case rather than through field
-callables, which lets numpy reuse the batch-sized temporaries in place.
+``matq._span_values`` and eliminate nothing.  Only their arithmetic
+depends on the field: prime fields reduce integer arithmetic mod p, so
+any p up to ``gf.MAX_Q`` works without tables; extension fields look
+sums and products up in ``Field.tables``, so they are limited to
+``gf.TABLE_MAX_Q``.  The arithmetic is written inline for each case
+rather than through field callables, which lets numpy reuse the
+batch-sized temporaries in place.
+
+The reduction works in int64.  The product returns element indices in
+the element dtype, ``np.min_scalar_type(q - 1)``, on every field, one
+byte each up to q = 256.  Over a prime field it sums in the narrowest
+unsigned dtype that holds both p and the largest sum, k (p - 1)^2 for
+inner dimension k, so uint8 at p = 3 up to k = 63.  Its outputs are
+unsigned and narrow, so a caller that subtracts or multiplies them
+widens them first.
 """
 
 from __future__ import annotations
@@ -65,15 +74,20 @@ def rank_batch(field, mats: np.ndarray) -> np.ndarray:
 
 
 def gf_matmul(field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Product of A (x, k) and B (k, y), or a stack B (S, k, y), over GF(q)."""
-    A = np.asarray(A, dtype=np.int64)
-    B = np.asarray(B, dtype=np.int64)
+    """Product of A (x, k) and B (k, y), or a stack B (S, k, y), over GF(q),
+    in the element dtype.  A prime field's exact narrow sums are reduced
+    as x - p * (x // p): numpy divides by a scalar with SIMD, but its
+    ``%`` does not."""
+    A, B = np.asarray(A), np.asarray(B)
+    element = np.min_scalar_type(field.q - 1)
     if field.e == 1:
-        out = A @ B
-        out %= field.p  # in place: no second product-sized array
-        return out
+        acc = np.min_scalar_type(max(field.p, A.shape[1] * (field.p - 1) ** 2))
+        out = np.einsum("xk,...ky->...xy", A.astype(acc, copy=False), B.astype(acc, copy=False))
+        p = acc.type(field.p)
+        out -= out // p * p
+        return out.astype(element, copy=False)
     t = field.tables
-    out = np.zeros(B.shape[:-2] + (A.shape[0], B.shape[-1]), dtype=np.int64)
+    out = np.zeros(B.shape[:-2] + (A.shape[0], B.shape[-1]), dtype=element)
     for s in range(A.shape[1]):
         out = t.add[out, t.mul[A[:, s, None], B[..., s, None, :]]]
-    return out.astype(np.int64, copy=False)
+    return out.astype(element, copy=False)

@@ -198,9 +198,7 @@ def naive_weight_enumerator(field, l, m, t, mode) -> SpectrumReport:
         )
     h = k // 2
     gen = generator_matrix(dom)
-    small = np.min_scalar_type(q - 1)
     tails = gf_matmul(field, matq.coeff_vectors(field, h), gen[k - h :])
-    tails = tails.astype(small)
     planes, width = (q - 1).bit_length(), -(-n // 64)
     tail_planes = _bit_planes(tails, planes, width)
     zero_head = np.bincount(np.count_nonzero(tails, axis=1), minlength=n + 1)
@@ -210,7 +208,7 @@ def naive_weight_enumerator(field, l, m, t, mode) -> SpectrumReport:
     per = max(1, _kernels._RANK_CHUNK // (q**h * width))
     counts = np.zeros(n + 1, dtype=np.int64)
     for lo in range(0, len(heads), per):
-        words = gf_matmul(field, heads[lo : lo + per], gen[: k - h]).astype(small)
+        words = gf_matmul(field, heads[lo : lo + per], gen[: k - h])
         head_planes = _bit_planes(words, planes, width)
         diff = head_planes[0][:, None] ^ tail_planes[0]
         for j in range(1, planes):
@@ -239,9 +237,8 @@ def support_weight(dom: EvaluationDomain, basis) -> int:
     q = dom.field.q
     table, wt = matq.rank_table(dom.field, dom.l, dom.m), np.array(weight_table(dom))
     powers = q ** np.arange(nm - 1, -1, -1, dtype=np.int64)  # an element's base-q value
-    per, total = max(1, _kernels._RANK_CHUNK // nm), 0  # span elements per block
-    for lo in range(0, q**r, per):
-        coeffs = matq._base_q_digits(np.arange(lo, min(lo + per, q**r), dtype=np.int64), q, r)
+    total = 0
+    for coeffs in matq._coeff_blocks(dom.field, r, max(1, _kernels._RANK_CHUNK // nm)):
         total += int(wt[table[gf_matmul(dom.field, coeffs, basis) @ powers]].sum())
     average = _exact_div(total, q**r - q ** (r - 1))
     words = gf_matmul(dom.field, basis, generator_matrix(dom))

@@ -270,9 +270,23 @@ def enumerate_subspaces(field, N: int, r: int):
 
 
 def coeff_vectors(field, r: int) -> np.ndarray:
-    """All q^r coefficient vectors of length r, lexicographic: row i holds
-    the base-q digits of i, with no integer division."""
-    return np.indices((field.q,) * r, dtype=np.int64).reshape(r, field.q**r).T
+    """All q^r coefficient vectors of length r, lexicographic, in the
+    element dtype: row i holds the base-q digits of i, with no integer
+    division."""
+    q = field.q
+    return np.indices((q,) * r, dtype=np.min_scalar_type(q - 1)).reshape(r, q**r).T
+
+
+def _coeff_blocks(field, r: int, per: int):
+    """Yield the rows of ``coeff_vectors(field, r)`` in order, q^s at a
+    time, q^s the largest power of q up to per (or one row): a block
+    shares its first r - s digits, and its last s run over all their
+    fillings, so no digit is divided out."""
+    q = field.q
+    s = min(r, _max_power(q, per))
+    fillings = coeff_vectors(field, s)
+    for head in coeff_vectors(field, r - s):
+        yield np.concatenate([np.broadcast_to(head, (q**s, r - s)), fillings], axis=1)
 
 
 def _block_layout(field, coeffs: np.ndarray, N: int, slots, b: int):
@@ -325,15 +339,18 @@ def _span_values(field, heads: np.ndarray, layout) -> np.ndarray:
     column that holds g of them, a (q^g, q^r) table of its digits over
     their fillings, broadcast over those slots' axes of a (q,)*b + (q^r,)
     array: row major, a column's slots come in increasing axis order.
+    The digits come from ``gf_matmul`` in the element dtype; only the
+    pieces' rows are widened to int64 before they are placed.
     """
     b, coeffs, cols, fill, place, nfixed, pieces = layout
     c, r, _ = heads.shape
     vectors = heads.transpose(0, 2, 1)[:, cols] + fill  # (c, rows, r)
     digits = gf_matmul(field, vectors.reshape(-1, r), coeffs).reshape(c, len(cols), -1)
-    digits *= place[:, None]
-    values = digits[:, :nfixed].sum(axis=1).reshape([c] + [1] * b + [-1])
+    values = np.einsum("ckx,k->cx", digits[:, :nfixed], place[:nfixed])
+    values = values.reshape([c] + [1] * b + [-1])
+    slot_digits = digits[:, nfixed:] * place[nfixed:, None]  # int64, the pieces' rows only
     for lo, hi, shape in pieces:
-        values = values + digits[:, lo:hi].reshape([c] + shape)
+        values = values + slot_digits[:, lo - nfixed : hi - nfixed].reshape([c] + shape)
     return values.reshape(c, field.q**b, -1)
 
 

@@ -87,13 +87,12 @@ def count_rank1(field, basis, l: int, m: int) -> int:
     i, k = (x[:, None] * m for x in np.triu_indices(l, 1))
     j, h = np.triu_indices(m, 1)
     a, b, c, d = (x.ravel() for x in (i + j, k + h, i + h, k + j))
-    per = max(1, _kernels._RANK_CHUNK // (l * m))  # span elements per block
     count = 0
-    for lo in range(0, q**r, per):
-        coeffs = matq._base_q_digits(np.arange(lo, min(lo + per, q**r), dtype=np.int64), q, r)
+    for coeffs in matq._coeff_blocks(field, r, max(1, _kernels._RANK_CHUNK // (l * m))):
         E = gf_matmul(field, coeffs, basis)
-        if field.e == 1:
-            flat = (E[:, a] * E[:, b] - E[:, c] * E[:, d]) % field.p == 0
+        if field.e == 1:  # unsigned, so the two products are compared, not subtracted
+            E = E.astype(np.min_scalar_type((field.p - 1) ** 2), copy=False)
+            flat = E[:, a] * E[:, b] % field.p == E[:, c] * E[:, d] % field.p
         else:
             mul = field.tables.mul
             flat = mul[E[:, a], E[:, b]] == mul[E[:, c], E[:, d]]

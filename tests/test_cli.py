@@ -462,6 +462,33 @@ def test_verify_skips_the_naive_oracle_over_its_budget(capsys, monkeypatch):
     assert out.splitlines()[-1].endswith(" 2 skipped")
 
 
+def test_verify_runs_the_naive_oracle_at_its_budget_edge(capsys):
+    # 3^9 forms over the 8,451-point affine domain cost 83% of
+    # NAIVE_COST_BUDGET: no other verify job makes products as wide.
+    code, out, _ = run(["verify", "--q", "3", "--l", "3", "--m", "3", "--t", "2"], capsys)
+    assert code == 0
+    cap = "(brute-force cost over the cap of 2000000)"
+    assert out == "\n".join([
+        "# verify q=3 l=3 m=3 t=2",
+        "PASS  closed-form lengths n, n_hat vs enumeration",
+        "PASS  closed-form rank-class counts mu sum to q^(l*m)",
+        "PASS  rank-class counts mu vs enumeration",
+        "PASS  closed vs brute spectrum (projective)",
+        "PASS  rank-grouped vs naive enumerator (projective)",
+        "PASS  closed vs brute spectrum (affine)",
+        "PASS  rank-grouped vs naive enumerator (affine)",
+        "PASS  spectrum transfer A_{i(q-1)} = A_hat_i",
+        "PASS  alternating-sum rank counts vs enumeration",
+        "PASS  generator rank = l*m and no zero column",
+        "PASS  rank-1 extremal count within bound (r=9)",
+        "SKIP  higher weights: closed/bounds vs brute, affine transfer"
+        "  (closed-form higher weights are only available for t=1)",
+        "SKIP  witness subcodes attain the known values  (witness subcodes are only known for t=1)",
+        *(f"SKIP  rank-1 extremal count within bound (r={r})  {cap}" for r in range(4, 9)),
+        "OK: 11/11 checks passed, 7 skipped",
+    ]) + "\n"
+
+
 def test_verify_battery_extension_field(capsys):
     code, out, _ = run(
         ["verify", "--q", "4", "--l", "2", "--m", "2", "--t", "2"], capsys

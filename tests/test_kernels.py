@@ -58,7 +58,7 @@ def test_matmul_fallback_matches_scalar_oracle(p, e):
     A = rng.integers(0, field.q, size=(3, 4), dtype=np.int64)
     B = rng.integers(0, field.q, size=(4, 5), dtype=np.int64)
     got = _kernels.gf_matmul(field, A, B)
-    assert got.shape == (3, 5)
+    assert got.shape == (3, 5) and got.dtype == np.min_scalar_type(field.q - 1)
     for i in range(3):
         for j in range(5):
             assert got[i, j] == scalar_dot(field, A[i], B[:, j])
@@ -76,6 +76,24 @@ def test_public_matmul_matches_fallback(p, e):
         for i in range(4):
             for j in range(3):
                 assert got[b, i, j] == scalar_dot(field, A[i], B[b][:, j])
+
+
+# All-(p - 1) operands put every entry of a product at k (p - 1)^2, the top
+# of its accumulator: each pair of k sits on the two sides of a dtype's
+# limit.  At p = 3, k = 64 sums 256, which a uint8 sum would wrap to 0,
+# where 256 = 1 mod 3.
+@pytest.mark.parametrize("p,k", [(3, 63), (3, 64), (17, 255), (17, 256), (257, 1),
+                                 (65521, 1), (65521, 2), (3, 0), (1031, 0)])
+def test_matmul_is_exact_at_each_accumulator_edge(p, k):
+    field = gf.make_field(p)
+    A = np.full((2, k), p - 1, dtype=np.int64)
+    B = np.full((4, k, 3), p - 1, dtype=np.int64)
+    expect = scalar_dot(field, A[0], B[0][:, 0])
+    assert expect == k % p  # (p - 1)^2 = 1 mod p
+    for got, shape in [(_kernels.gf_matmul(field, A, B[0]), (2, 3)),
+                       (_kernels.gf_matmul(field, A, B), (4, 2, 3))]:
+        assert got.shape == shape and got.dtype == np.min_scalar_type(p - 1)
+        assert (got == expect).all()
 
 
 def test_prime_field_kernels_never_build_tables(monkeypatch):

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from detcodes import _kernels, gf, matq, rank1
+from detcodes import _kernels, detcode, gf, matq, rank1
 from detcodes.counting import rank1_bound
 from detcodes.errors import BadParameters, EquationViolated, NotRankOne
 
@@ -147,11 +147,12 @@ def test_empty_basis_spans_only_the_zero_vector(f2):
     assert rank1.count_rank1(f2, np.zeros((0, 4), dtype=np.int64), 2, 2) == 0
 
 
-@pytest.mark.parametrize("chunk,limit_mib", [(4096, 1.0), (1 << 16, 3.4)])
+@pytest.mark.parametrize("chunk,limit_mib", [(4096, 1.0), (1 << 16, 2.0)])
 def test_count_rank1_streams_its_span(f3, chunk, limit_mib, monkeypatch):
     # The q=3 3x3 full space spans 19,683 elements; built at once as int64
     # they peaked 2.7 MiB at the 4096-entry chunk and 3.77 MiB at the
-    # default, where one elimination chunk's temporaries are most of it.
+    # default.  Streamed, with int64 minors, the default chunk peaked
+    # 3.07 MiB; with byte-wide span elements and minors it peaks 0.45 MiB.
     monkeypatch.setattr(_kernels, "_RANK_CHUNK", chunk)
     f3.tables, f3.inverses
     tracemalloc.start()
@@ -265,6 +266,20 @@ def test_max_rank1_witness_is_extremal_span(f2):
     ranks = rank_batch(f2, elems.reshape(-1, 2, 2))
     assert int((ranks == 2).sum()) == 2
     assert int((ranks == 2).sum()) >= rank1_bound(3, 2, 2, 2).rank2_floor
+
+
+def test_max_rank1_section_search_memory_is_byte_wide(f3):
+    # r = 9 is the whole q=3 3x3 space: one block of 3^9 span elements,
+    # whose column digits peaked 2.86 MiB as an int64 (c, rows, q^r) table.
+    detcode.make_domain(f3, 3, 3, 1, "projective")  # cached: the walk is not measured
+    tracemalloc.start()
+    try:
+        best, _ = rank1.max_rank1_exhaustive(f3, 3, 3, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert best == 338  # every rank-1 matrix of the space
+    assert peak < 1.5 * 2**20
 
 
 def test_max_rank1_rejects_bad_shape_before_searching(f2, monkeypatch):

@@ -73,8 +73,8 @@ def normal_form(field, M):
 
 
 def outer(field, u, v) -> np.ndarray:
-    u = np.asarray(u, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
+    # checked, not reduced: gf_matmul sums element indices in narrow dtypes
+    u, v = (as_matrix([w], field.q)[0] for w in (u, v))
     return gf_matmul(field, u[:, None], v[None, :])
 
 

@@ -43,7 +43,7 @@ def rank1_sum_check(field, u, a, x, v, b, y) -> bool:
     True iff span(u, a, x) or span(v, b, y) is one-dimensional.  The
     dichotomy is a theorem: exhaustive sweeps must never see False.
     """
-    vecs = [np.asarray(w, dtype=np.int64) for w in (u, a, x, v, b, y)]
+    vecs = [matq.as_matrix([w], field.q)[0] for w in (u, a, x, v, b, y)]
     u, a, x, v, b, y = vecs
     if any(not w.any() for w in vecs):
         raise EquationViolated("all six vectors must be nonzero")

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 from detcodes import _kernels, counting, detcode, make_field
 from detcodes import matq
 from detcodes._kernels import gf_matmul
-from detcodes.errors import BadParameters, BudgetExceeded, EmptyVariety, IndexOutOfRange
+from detcodes.errors import (
+    BadParameters,
+    BudgetExceeded,
+    EmptyVariety,
+    IndexOutOfRange,
+    ShapeMismatch,
+)
 
 from conftest import scalar_rank, span_ranks, span_vectors
 
@@ -139,6 +145,16 @@ def test_span_ranks_matches_scalar_oracle(p, e):
         for basis, ranks in zip(bases, got):
             span = span_vectors(f, basis)
             assert ranks.tolist() == [scalar_rank(f, v.reshape(l, m)) for v in span]
+
+
+@pytest.mark.parametrize("u,v,error", [([3, 0], [1, 1], IndexOutOfRange),
+                                       ([1, 0], [-1, 1], IndexOutOfRange),
+                                       ([[1, 0]], [1, 1], ShapeMismatch)])
+def test_outer_rejects_what_is_not_a_vector_of_element_indices(f3, u, v, error):
+    # the product sums element indices in narrow unsigned dtypes, where 3
+    # and -1 would not be reduced mod 3
+    with pytest.raises(error):
+        matq.outer(f3, u, v)
 
 
 def test_outer_examples(f2, f3):

@@ -9,7 +9,7 @@ import pytest
 
 from detcodes import _kernels, detcode, gf, matq, rank1
 from detcodes.counting import rank1_bound
-from detcodes.errors import BadParameters, EquationViolated, NotRankOne
+from detcodes.errors import BadParameters, EquationViolated, IndexOutOfRange, NotRankOne
 
 from conftest import span_ranks, span_vectors
 
@@ -72,6 +72,12 @@ def test_rank1_sum_check_examples(f2):
 
 def rank1_sum_check_ok(field, u, a, x, v, b, y):
     return rank1.rank1_sum_check(field, u, a, x, v, b, y)
+
+
+def test_rank1_sum_check_rejects_entries_outside_the_field(f2):
+    # 3 = 1 mod 2, so the sides would agree if 3 were reduced
+    with pytest.raises(IndexOutOfRange):
+        rank1.rank1_sum_check(f2, [1, 0], [1, 0], [1, 0], [1, 0], [0, 3], [1, 1])
 
 
 def test_rank1_sum_check_rejects_unequal_sides(f2):

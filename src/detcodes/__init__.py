@@ -20,6 +20,7 @@ from .formulas import (
     GhwResult,
     closed_weight_enumerator,
     delsarte_N,
+    ghw_bounds,
     ghw_t1,
     griesmer_wei,
     serre_example_bound,

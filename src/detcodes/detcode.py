@@ -19,7 +19,7 @@ from . import _kernels, counting, matq
 from ._kernels import gf_matmul
 from .counting import _exact_div
 from .errors import BadParameters, BudgetExceeded, ShapeMismatch
-from .formulas import griesmer_wei
+from .formulas import ghw_bounds
 
 NAIVE_COST_BUDGET = 200_000_000  # forms x domain points for the naive path
 
@@ -272,20 +272,17 @@ def _subspace_supports(field, l, m, t, mode, r):
 
 def _section_ceiling(dom: EvaluationDomain, s: int) -> int:
     """A proven upper bound on the points of the domain in an
-    s-dimensional space S of l x m matrices, N = l*m: the least of
-    - c(s), all points of S: q^s affine, (q^s - 1)/(q - 1) projective;
-    - n - GW(d_1, N - s), n at s = N: a point lies in S iff every form of
-      D = S^perp vanishes at it, so S holds n - wt(D) points, and
-      wt(D) >= d_(N-s) >= GW(d_1, N - s), the Griesmer-Wei bound;
-    - at t = 1, the coset bound ``counting.rank1_bound(s)``, as points.
+    s-dimensional space S of l x m matrices, N = l*m.  A point lies in S
+    iff every form of D = S^perp vanishes at it, so S holds n - wt(D)
+    points, and wt(D) >= d_(N-s), which ``formulas.ghw_bounds`` bounds
+    below.  Its n_hat and d_hat_1 are read off the domain.
     """
     q, N, affine = dom.field.q, dom.l * dom.m, dom.mode == "affine"
-    gw = griesmer_wei(min(weight_table(dom)[1:]), N - s, q) if s < N else 0
-    bounds = [q**s if affine else (q**s - 1) // (q - 1), len(dom) - gw]
-    if dom.t == 1 and dom.l >= 2:
-        rank1 = counting.rank1_bound(s, dom.l, dom.m, q).max_rank1
-        bounds.append(rank1 + 1 if affine else rank1 // (q - 1))
-    return min(bounds)
+    if s == N:
+        return len(dom)
+    scale = q - 1 if affine else 1  # n = n_hat projective, 1 + (q - 1) n_hat affine
+    n_hat, d1 = _exact_div(len(dom) - affine, scale), _exact_div(min(weight_table(dom)[1:]), scale)
+    return len(dom) - scale * ghw_bounds(dom.l, dom.m, dom.t, N - s, q, n_hat, d1).lower
 
 
 def _check_search(l, m, t, mode) -> None:

@@ -2,23 +2,21 @@
 
 Covers the t=1 weight hierarchy, the alternating-sum count of rank-t
 matrices with nonvanishing partial trace (valid for every t), closed
-weight enumerators, exact generalized-Hamming-weight values and bounds
-for t=1, the Griesmer-Wei bound, and the explicit witness subcodes that
-attain the known upper bounds.
-
-Exact GHW values carry a source tag; everything else is reported as an
-honest (lower, upper) pair.
+weight enumerators, the Griesmer-Wei bound, the explicit witness
+subcodes that attain the known upper bounds, and one table of proven
+generalized-Hamming-weight bounds (``ghw_bounds``), read by ``ghw_t1``
+and by the searches alike.  Each bound carries the tag of its proof.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb
+from math import comb
 
 import numpy as np
 
-from .counting import _exact_div, gaussian_binomial, lengths, mu
+from .counting import _exact_div, gaussian_binomial, lengths, mu, rank1_bound
 from .errors import BadParameters, NonIntegerDivision
 
 
@@ -93,85 +91,90 @@ def griesmer_wei(d1: int, r: int, q: int) -> int:
     return sum(-(-d1 // q**j) for j in range(r))
 
 
+# An exact value is named by the lower bound that the witness subcode meets,
+# or is the full support where it meets the length.
+_MET = {"griesmer-wei": "griesmer-wei-met", "rank1-coset-bound": "rank1-coset-bound-attained",
+        "rank1-section": "rank1-section-met"}
+
+
 @dataclass(frozen=True)
 class GhwResult:
-    """Either an exact r-th higher weight or honest two-sided bounds."""
+    """Proven bounds lower <= d_hat_r <= upper, each named by its proof."""
 
     r: int
-    kind: str  # "exact" | "bounds"
-    value: int | None = None
-    lower: int | None = None
-    upper: int | None = None
-    sources: tuple[str, ...] = ()
+    lower: int
+    upper: int
+    lower_by: str
+    upper_by: str
+
+    @property
+    def kind(self) -> str:  # exact iff the bounds meet
+        return "exact" if self.lower == self.upper else "bounds"
+
+    @property
+    def value(self) -> int | None:
+        return self.lower if self.lower == self.upper else None
+
+    @property
+    def sources(self) -> tuple[str, ...]:
+        if self.lower < self.upper:
+            return (f"lower:{self.lower_by}", f"upper:{self.upper_by}")
+        return ("full-support" if self.upper_by == "length" else _MET[self.lower_by],)
 
     def contains(self, v: int) -> bool:
-        if self.kind == "exact":
-            return v == self.value
         return self.lower <= v <= self.upper
 
 
-def _rank1_floor(l: int, m: int, r: int, q: int) -> int:
-    """Lower bound on d_hat_r for r > m from the rank-1 coset bound:
-    q^(l+m-r-1) ((q^r - 1)/(q - 1) + q^(r-2) - 1), rounded up.
-    """
-    val = Fraction(q) ** (l + m - r - 1) * (
-        Fraction(q**r - 1, q - 1) + q ** (r - 2) - 1
-    )
-    return ceil(val)
+def _witness_weight(l: int, m: int, r: int, q: int) -> int:
+    """Support weight of ``witness_subcode``, r < l + m (s = max(r - m, 0)):
+    d_hat_(r-s) + q^(l+m-s-2) (q^s - 1)/(q - 1)."""
+    s = max(r - m, 0)
+    return _head_weight(l, m, r - s, q) + q ** (l + m - s - 2) * _exact_div(q**s - 1, q - 1)
 
 
-def _span_upper(l: int, m: int, r: int, q: int) -> int:
-    """Support weight of the explicit (m+s)-dimensional witness subcode,
-    valid as an upper bound for m < r < l + m (s = r - m):
-    d_hat_m + q^(l+m-s-2) (q^s - 1)/(q - 1).
+def ghw_bounds(l: int, m: int, t: int, r: int, q: int, n_hat: int, d1: int) -> GhwResult:
+    """Every proven bound on d_hat_r, the r-th higher weight of the
+    projective rank-<=t code of length n_hat and minimum distance d1.
+
+    A subcode D of dimension r misses exactly the points of the section
+    S = D^perp, of dimension s = N - r (N = l*m), so d_hat_r = n_hat - the
+    most points in an s-space.  The largest lower bound is kept, the
+    first on a tie:
+    - griesmer-wei: GW(d1, r), true of every linear code;
+    - rank1-coset-bound (t = 1, r > m): wt(D) averages the weights of its
+      q^r - 1 nonzero forms over q^r - q^(r-1); at most
+      ``rank1_bound(r)`` of them have rank 1, and each other one weighs
+      at least w_hat_2, the weight of a rank-2 form;
+    - section-size: n_hat - c(s), c(s) = (q^s - 1)/(q - 1) the points of S;
+    - rank1-section (t = 1, s > m): n_hat - ``rank1_bound(s)`` / (q - 1),
+      since the points of S are its rank-1 matrices up to scalars.
+    The least upper bound is kept, the first on a tie:
+    - witness-subcode (t = 1, r < l + m): the support weight of
+      ``witness_subcode(l, m, r, q)``;
+    - length: n_hat.
     """
-    s = r - m
-    return _head_weight(l, m, m, q) + q ** (l + m - s - 2) * _exact_div(q**s - 1, q - 1)
+    N = l * m
+    if not (1 <= t <= l <= m and 1 <= r <= N):
+        raise BadParameters(f"need 1 <= t <= l <= m and 1 <= r <= l*m, got {t=}, {l=}, {m=}, {r=}")
+    lowers = {"griesmer-wei": griesmer_wei(d1, r, q)}
+    if t == 1 and r > m:
+        rank1 = rank1_bound(r, l, m, q).max_rank1
+        total = rank1 * _head_weight(l, m, 1, q) + (q**r - 1 - rank1) * _head_weight(l, m, 2, q)
+        lowers["rank1-coset-bound"] = -(-total // (q**r - q ** (r - 1)))
+    lowers["section-size"] = n_hat - (q ** (N - r) - 1) // (q - 1)
+    if t == 1 and N - r > m:
+        lowers["rank1-section"] = n_hat - rank1_bound(N - r, l, m, q).max_rank1 // (q - 1)
+    uppers = {"witness-subcode": _witness_weight(l, m, r, q)} if t == 1 and r < l + m else {}
+    uppers["length"] = n_hat
+    lower_by = max(lowers, key=lowers.get)
+    upper_by = min(uppers, key=uppers.get)
+    return GhwResult(r, lowers[lower_by], uppers[upper_by], lower_by, upper_by)
 
 
 def ghw_t1(l: int, m: int, r: int, q: int) -> GhwResult:
-    """r-th higher weight of the projective t=1 code, exact where known.
-
-    Exact: r <= m (meets Griesmer-Wei), r = m+1 (rank-1 coset bound is
-    attained), and r = l*m (full support by nondegeneracy).  Otherwise
-    the best applicable lower/upper bounds are combined.
-    """
-    if not 1 <= r <= l * m:
-        raise BadParameters(f"need 1 <= r <= l*m, got r={r}")
-    if l > m:
-        raise BadParameters(f"need l <= m, got l={l}, m={m}")
-    if r > m and l < 2:
-        raise BadParameters("r > m requires l >= 2")
-    _, n_hat = lengths(l, m, 1, q)
-    if r <= m:
-        val = _head_weight(l, m, r, q)
-        assert val == griesmer_wei(q ** (l + m - 2), r, q)
-        return GhwResult(r=r, kind="exact", value=val, sources=("griesmer-wei-met",))
-    if r == m + 1:
-        return GhwResult(
-            r=r,
-            kind="exact",
-            value=_head_weight(l, m, m, q) + q ** (l + m - 3),
-            sources=("rank1-coset-bound-attained",),
-        )
-    if r == l * m:
-        return GhwResult(r=r, kind="exact", value=n_hat, sources=("full-support",))
-    lowers = {
-        "griesmer-wei": griesmer_wei(q ** (l + m - 2), r, q),
-        "rank1-coset-bound": _rank1_floor(l, m, r, q),
-    }
-    uppers = {"length": n_hat}
-    if m < r < l + m:
-        uppers["witness-subcode"] = _span_upper(l, m, r, q)
-    lo_tag = max(lowers, key=lowers.get)
-    up_tag = min(uppers, key=uppers.get)
-    return GhwResult(
-        r=r,
-        kind="bounds",
-        lower=lowers[lo_tag],
-        upper=uppers[up_tag],
-        sources=(f"lower:{lo_tag}", f"upper:{up_tag}"),
-    )
+    """``ghw_bounds`` for the projective t=1 code, with its closed length
+    and d_hat_1 = q^(l+m-2)."""
+    return ghw_bounds(l, m, 1, r, q, lengths(l, m, 1, q)[1], _head_weight(l, m, 1, q))
 
 
 def witness_subcode(l: int, m: int, r: int, q: int) -> np.ndarray:

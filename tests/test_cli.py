@@ -137,9 +137,18 @@ def test_ghw_json_values(capsys):
     assert rows[1]["value"] == "8"
     assert rows[4]["value"] == "18"
     assert rows[5]["kind"] == "bounds"
-    assert rows[5]["lower"] == "19" and rows[5]["upper"] == "21"
+    assert rows[5]["lower"] == "20" and rows[5]["upper"] == "21"
     assert rows[5]["brute_confirmed"] is True
     assert rows[6]["value"] == "21"
+
+
+def test_ghw_q2_3x3_r5_is_exact(capsys):
+    # past the brute cap; the rank-1 section floor meets the witness subcode
+    code, out, _ = run(
+        ["ghw", "--q", "2", "--l", "3", "--m", "3", "--t", "1", "--r", "5"], capsys
+    )
+    assert code == 0
+    assert out.splitlines()[-1].split() == ["5", "exact", "40", "rank1-section-met", "-"]
 
 
 def test_ghw_affine_scaling_and_range(capsys):

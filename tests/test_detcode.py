@@ -535,7 +535,9 @@ def test_pruned_searches_stop_in_their_first_stack(f2, monkeypatch):
     # d_5 = 38 = 45 - 7 meets the dual floor, and 17 rank-1 forms the
     # ceiling.  verify searches d_r at r = 1, 2, 3, 6, 7 in both modes
     # when t = 1 (r = 8 needs no search; r = 4, 5 are past its cap) and
-    # the rank-1 maxima at r = 6, 7, 8.
+    # the rank-1 maxima at r = 6, 7, 8.  At q=2 3x3, d_4 = 36 meets the
+    # coset floor on the subcode side and d_5 = 40 the rank-1 section
+    # floor on the section side, in both modes (q - 1 = 1).
     f3 = make_field(3)
     stacks = []
     real = matq.subspace_batches
@@ -552,7 +554,10 @@ def test_pruned_searches_stop_in_their_first_stack(f2, monkeypatch):
     assert detcode.brute_ghw(f2, 2, 4, 1, "projective", 6) == 42
     assert rank1.max_rank1_exhaustive(f2, 2, 4, 5)[0] == 17
     assert rank1.max_rank1_exhaustive(f3, 2, 3, 4)[0] == 32
-    assert stacks == [[1]] * 5
+    for mode, scale in (("projective", 1), ("affine", 2 - 1)):
+        assert detcode.brute_ghw(f2, 3, 3, 1, mode, 4) == 36 * scale
+        assert detcode.brute_ghw(f2, 3, 3, 1, mode, 5) == 40 * scale
+    assert stacks == [[1]] * 9
     for t in (1, 2):
         stacks.clear()
         with contextlib.redirect_stdout(io.StringIO()):
@@ -608,7 +613,9 @@ def _bound_cells():
                     yield p, e, l, m, r
 
 
-@pytest.mark.parametrize("p,e,l,m,r", list(_bound_cells()))
+# q=2 3x3 at r = m + 1 = 4, where the coset floor is met, and r = 5,
+# where the rank-1 section floor is
+@pytest.mark.parametrize("p,e,l,m,r", list(_bound_cells()) + [(2, 1, 3, 3, 4), (2, 1, 3, 3, 5)])
 def test_proven_bounds_hold_and_pruning_changes_nothing(p, e, l, m, r):
     f = make_field(p, e)
     for t in range(1, l + 1):
@@ -623,6 +630,20 @@ def test_proven_bounds_hold_and_pruning_changes_nothing(p, e, l, m, r):
         assert (f.q - 1) * detcode._section_ceiling(dom, r) >= best
         pruned, pruned_witness = rank1.max_rank1_exhaustive(f, l, m, r)
         assert (pruned, pruned_witness.tolist()) == (best, witness.tolist())
+
+
+@pytest.mark.parametrize("p,e,l,m,r", list(_bound_cells()) + [(2, 1, 3, 3, r) for r in range(1, 10)])
+def test_the_searches_bound_is_the_closed_forms_lower_bound(p, e, l, m, r):
+    # n - ceiling(N - r), read off the domain, is (q - 1) or 1 times the
+    # lower bound of formulas.ghw_bounds on the closed n_hat and d_hat_1
+    f = make_field(p, e)
+    for t in range(1, l + 1):
+        n_hat = counting.lengths(l, m, t, f.q)[1]
+        d1 = formulas.closed_weight_enumerator(t, l, m, f.q, "projective").min_distance()
+        lower = formulas.ghw_bounds(l, m, t, r, f.q, n_hat, d1).lower
+        for mode, scale in (("projective", 1), ("affine", f.q - 1)):
+            dom = detcode.make_domain(f, l, m, t, mode)
+            assert len(dom) - detcode._section_ceiling(dom, l * m - r) == scale * lower
 
 
 def test_a_wrong_bound_fails_loudly(f2, monkeypatch):

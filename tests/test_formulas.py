@@ -258,10 +258,10 @@ def test_ghw_t1_contains_brute_hierarchy():
     for r, val in enumerate(expect, start=1):
         res = formulas.ghw_t1(2, 3, r, 2)
         assert res.contains(val), (r, res, val)
-    # r = 5 is only bounded, and the bounds are honest: 19 <= 20 <= 21.
+    # r = 5 is only bounded, and the bounds are honest: 20 <= 20 <= 21.
     mid = formulas.ghw_t1(2, 3, 5, 2)
     assert mid.kind == "bounds"
-    assert mid.lower == 19 and mid.upper == 21
+    assert mid.lower == 20 and mid.upper == 21
 
 
 def test_ghw_t1_exact_values_strictly_increase():

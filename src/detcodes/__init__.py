@@ -13,7 +13,6 @@ from .detcode import (
     naive_weight_enumerator,
     subcode_spectrum,
     support_weight,
-    weight_of_form,
     weight_table,
 )
 from .formulas import (
@@ -30,7 +29,6 @@ from .formulas import (
 from .gf import Field, make_field, parse_q
 from .matq import (
     enumerate_matrices,
-    enumerate_subspaces,
     normal_form,
     outer,
     partial_trace,

@@ -113,9 +113,7 @@ def cmd_ghw(args) -> int:
     if t != 1:
         print("closed-form higher weights are only available for t=1", file=sys.stderr)
         return 2
-    rows = []
-    lines = [f"# ghw q={field.q} l={l} m={m} t={t} mode={mode}",
-             f"{'r':>3} {'kind':>6} {'value':>16} {'source':<32} brute"]
+    rows, cells = [], [("r", "kind", "value", "source", "brute")]
     failed = False
     for r in _parse_r_range(args.r, l * m):
         res = formulas.ghw_t1(l, m, r, field.q)
@@ -138,7 +136,11 @@ def cmd_ghw(args) -> int:
         row["brute_confirmed"] = confirmed
         rows.append(row)
         mark = {None: "-", True: "yes", False: "NO"}[confirmed]
-        lines.append(f"{r:>3} {res.kind:>6} {shown:>16} {row['source']:<32} {mark}")
+        cells.append((r, res.kind, shown, row["source"], mark))
+    width = max(len(cell[3]) for cell in cells)  # the longest source
+    lines = [f"# ghw q={field.q} l={l} m={m} t={t} mode={mode}"] + [
+        f"{r:>3} {kind:>6} {shown:>16} {source:<{width}} {mark}"
+        for r, kind, shown, source, mark in cells]
     payload = {
         "q": field.q, "l": l, "m": m, "t": t, "mode": mode,
         "length": _length(field, l, m, t, mode),

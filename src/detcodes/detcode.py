@@ -84,12 +84,6 @@ def weight_table(dom: EvaluationDomain) -> tuple[int, ...]:
     return tuple(int(w) for w in _trace_nonzero(dom.field, diag).sum(axis=0))
 
 
-def weight_of_form(dom: EvaluationDomain, F) -> int:
-    """Hamming weight of the codeword of F, via rank(F) only."""
-    F = matq.as_matrix(F, dom.field.q)
-    return weight_table(dom)[matq.rank(dom.field, F)]
-
-
 @dataclass(frozen=True)
 class SpectrumReport:
     mode: str
@@ -223,10 +217,11 @@ def support_weight(dom: EvaluationDomain, basis) -> int:
     """Support weight of the subcode spanned by the given forms.
 
     Computed twice, independently, and asserted equal: from the
-    rank-determined weights of all q^r elements of the span, their ranks
-    read off ``matq.rank_table`` (the domain's walk, so it fits the
-    budget) a block of at most ``_kernels._RANK_CHUNK`` entries at a
-    time, and as the number of coordinates hit by the basis codewords.
+    rank-determined weights of all q^r elements of the span (q^r within
+    ``matq.ELEMENT_BUDGET``), their ranks read off ``matq.rank_table``
+    (the domain's walk, so it fits the budget) a block of at most
+    ``_kernels._RANK_CHUNK`` entries at a time, and as the number of
+    coordinates hit by the basis codewords.
     """
     basis = matq.as_matrix(basis, dom.field.q)
     r, nm = basis.shape

@@ -27,6 +27,7 @@ from .errors import (
 MATRIX_SPACE_BUDGET = 50_000_000  # q^(l*m) matrices walked, one byte each, by rank_table
 DOMAIN_BUDGET = 10_000_000  # points kept in an evaluation domain
 SUBSPACE_BUDGET = 10_000_000  # subspaces visited
+ELEMENT_BUDGET = 10_000_000  # q^r coefficient vectors walked, by _coeff_blocks
 _SUBSPACE_BATCH = 4096  # subspace_batches stacks hold the largest power of q up to this
 
 
@@ -96,13 +97,13 @@ def _base_q_digits(a: np.ndarray, q: int, width: int) -> np.ndarray:
 
 
 def rank_table(field, l: int, m: int) -> np.ndarray:
-    """Read-only uint8 rank of every l x m matrix, indexed by the
+    """Read-only uint8 rank of every l x m matrix, l <= m, indexed by the
     matrix's base-q value: its row-major entries read as digits, the
     first most significant.  Each call checks q^(l*m) against the budget
     before it reads ``_walk``'s cache, which holds the last table only.
     """
-    if min(l, m) < 1:
-        raise BadParameters(f"need l, m >= 1, got l={l}, m={m}")
+    if not 1 <= l <= m:
+        raise BadParameters(f"need 1 <= l <= m, got l={l}, m={m}")
     if field.q ** (l * m) > MATRIX_SPACE_BUDGET:
         raise BudgetExceeded(f"q^(l*m) = {field.q ** (l * m)} exceeds the enumeration budget "
                              f"MATRIX_SPACE_BUDGET = {MATRIX_SPACE_BUDGET}")
@@ -125,15 +126,9 @@ def _walk(field, l: int, m: int) -> np.ndarray:
     of q^b prefixes, q^b the largest power of q up to the
     ``_kernels._RANK_CHUNK // q^m`` prefixes of a block (or one prefix),
     and ``_span_values`` lists each run's spans from its first prefix, its
-    head: digits are built for the heads only.  A tall space is ranked as
-    its transpose, whose prefixes span fewer values.
+    head: digits are built for the heads only.
     """
     q = field.q
-    if l > m:  # rank is unchanged by transposition
-        wide = _walk.__wrapped__(field, m, l).reshape((q,) * (l * m))
-        table = wide.transpose([j * l + i for i in range(l) for j in range(m)]).reshape(-1)
-        table.setflags(write=False)
-        return table
     rows = q**m
     table = np.ones(rows, dtype=np.uint8)
     table[0] = 0
@@ -242,9 +237,7 @@ def subspace_batches(field, N: int, r: int, grow: bool = False):
     if total > SUBSPACE_BUDGET:
         raise BudgetExceeded(f"{total} subspaces exceed the budget {SUBSPACE_BUDGET}")
     S = min(_max_power(q, _SUBSPACE_BATCH), r * (N - r))  # no profile has more slots
-    # every stack's last s digits, in the smallest dtype that holds a
-    # digit: row i holds the base-q digits of i, with no integer division
-    fillings = np.indices((q,) * S, dtype=np.min_scalar_type(q - 1)).reshape(S, q**S).T
+    fillings = coeff_vectors(field, S)  # every stack's last s digits
     first = grow
     for profile in combinations(range(N), r):
         slots = _profile_free_slots(N, profile)
@@ -252,7 +245,7 @@ def subspace_batches(field, N: int, r: int, grow: bool = False):
         k, s = len(slots), min(S, len(slots))
         base = np.zeros((r, N), dtype=np.int64)
         base[np.arange(r), list(profile)] = 1
-        for head in _base_q_digits(np.arange(q ** (k - s), dtype=np.int64), q, k - s):
+        for head in coeff_vectors(field, k - s):
             base[si[: k - s], sj[: k - s]] = head  # the stack's shared free entries
             cuts = ([(0, 1)] + [(c * q**g, q**g) for g in range(s) for c in range(1, q)]
                     if first else [(0, q**s)])  # (offset, size) within the stack
@@ -261,12 +254,6 @@ def subspace_batches(field, N: int, r: int, grow: bool = False):
                 stack = np.broadcast_to(base, (size, r, N)).copy()
                 stack[:, si[k - s :], sj[k - s :]] = fillings[lo : lo + size, S - s :]
                 yield stack
-
-
-def enumerate_subspaces(field, N: int, r: int):
-    """Yield each r-dimensional subspace of GF(q)^N once, as an RREF basis."""
-    for batch in subspace_batches(field, N, r):
-        yield from batch
 
 
 def coeff_vectors(field, r: int) -> np.ndarray:
@@ -281,8 +268,12 @@ def _coeff_blocks(field, r: int, per: int):
     """Yield the rows of ``coeff_vectors(field, r)`` in order, q^s at a
     time, q^s the largest power of q up to per (or one row): a block
     shares its first r - s digits, and its last s run over all their
-    fillings, so no digit is divided out."""
+    fillings, so no digit is divided out.  q^r is checked against
+    ``ELEMENT_BUDGET`` before the first block."""
     q = field.q
+    if q**r > ELEMENT_BUDGET:
+        raise BudgetExceeded(f"q^r = {q**r} coefficient vectors exceed the budget "
+                             f"ELEMENT_BUDGET = {ELEMENT_BUDGET}")
     s = min(r, _max_power(q, per))
     fillings = coeff_vectors(field, s)
     for head in coeff_vectors(field, r - s):
@@ -415,11 +406,3 @@ def format_matrix(M) -> str:
     """l lines of m space-separated element indices."""
     M = np.asarray(M)
     return "\n".join(" ".join(str(int(x)) for x in row) for row in M)
-
-
-def parse_matrix(text: str) -> np.ndarray:
-    rows = [[int(x) for x in line.split()] for line in text.strip().splitlines() if line.strip()]
-    widths = {len(r) for r in rows}
-    if len(widths) > 1:
-        raise ShapeMismatch("ragged rows in matrix text")
-    return np.array(rows, dtype=np.int64)

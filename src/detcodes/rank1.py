@@ -12,9 +12,7 @@ import numpy as np
 from . import _kernels, detcode, matq
 from ._kernels import gf_matmul
 from .counting import rank1_bound
-from .errors import BudgetExceeded, EquationViolated, NotRankOne
-
-ELEMENT_BUDGET = 10_000_000
+from .errors import EquationViolated, NotRankOne
 
 
 def factor(field, M) -> tuple[np.ndarray, np.ndarray]:
@@ -77,18 +75,16 @@ def count_rank1(field, basis, l: int, m: int) -> int:
     M_ij M_kh - M_ih M_kj vanishes, so nothing is eliminated: the minors
     are products mod p in a prime field and ``Field.tables.mul`` lookups
     in an extension field.  The span is built a block of at most
-    ``_kernels._RANK_CHUNK`` entries (or one element) at a time.
+    ``_kernels._RANK_CHUNK`` entries (or one element) at a time, by
+    ``matq._coeff_blocks``, which checks q^r against its ELEMENT_BUDGET.
     """
     basis = matq.as_matrix(basis, field.q)
-    q, r = field.q, basis.shape[0]
-    if q**r > ELEMENT_BUDGET:
-        raise BudgetExceeded(f"q^{r} elements exceed the budget")
     # flat indices of M_ij, M_kh, M_ih, M_kj over rows i < k, columns j < h
     i, k = (x[:, None] * m for x in np.triu_indices(l, 1))
     j, h = np.triu_indices(m, 1)
     a, b, c, d = (x.ravel() for x in (i + j, k + h, i + h, k + j))
     count = 0
-    for coeffs in matq._coeff_blocks(field, r, max(1, _kernels._RANK_CHUNK // (l * m))):
+    for coeffs in matq._coeff_blocks(field, len(basis), max(1, _kernels._RANK_CHUNK // (l * m))):
         E = gf_matmul(field, coeffs, basis)
         if field.e == 1:  # unsigned, so the two products are compared, not subtracted
             E = E.astype(np.min_scalar_type((field.p - 1) ** 2), copy=False)

@@ -1,8 +1,9 @@
 """Shared test helpers: tiny independent oracles built only on the scalar
 field operations, so they share no code path with the batch kernels or
 the closed forms they are used to check, ``span_vectors``, the span
-oracle, and ``span_ranks``, the elimination oracle for the searches that
-read ranks off the walk."""
+oracle, ``span_ranks``, the elimination oracle for the searches that
+read ranks off the walk, and ``subspaces``, which lists the bases of
+``matq.subspace_batches``."""
 
 import numpy as np
 import pytest
@@ -41,6 +42,11 @@ def naive_codeword(field, F, points):
     """Evaluate the form with coefficient matrix F point by point."""
     F = np.asarray(F)
     return [scalar_dot(field, F.flatten(), P.flatten()) for P in points]
+
+
+def subspaces(field, N, r):
+    """Every RREF basis of ``matq.subspace_batches``, in order."""
+    return [S for batch in matq.subspace_batches(field, N, r) for S in batch]
 
 
 def span_vectors(field, basis):

@@ -125,6 +125,19 @@ def test_ghw_table(capsys):
         assert ln.rstrip().endswith("yes")
 
 
+def test_ghw_table_columns_align(capsys):
+    # sources up to 45 characters long: the brute column starts at one
+    # offset on every row
+    code, out, _ = run(
+        ["ghw", "--q", "2", "--l", "3", "--m", "4", "--t", "1", "--no-brute"], capsys
+    )
+    assert code == 0
+    lines = [ln for ln in out.splitlines() if ln and ln[0] != "#"]
+    assert len(lines) == 13
+    assert max(len(ln.split()[-2]) for ln in lines[1:]) == 45
+    assert {len(ln) - len(ln.split()[-1]) for ln in lines} == {len(lines[0]) - len("brute")}
+
+
 def test_ghw_json_values(capsys):
     code, out, _ = run(
         ["ghw", "--q", "2", "--l", "2", "--m", "3", "--t", "1",

@@ -14,7 +14,7 @@ from detcodes import _kernels, cli, counting, detcode, formulas, make_field, mat
 from detcodes.errors import BadParameters, BudgetExceeded, ShapeMismatch
 from detcodes.gf import parse_q
 
-from conftest import naive_codeword, span_ranks
+from conftest import naive_codeword, span_ranks, subspaces
 
 
 def test_evaluate_examples(f2):
@@ -67,10 +67,11 @@ def test_generator_nondegenerate(q, l, m):
 
 
 def test_weight_of_form_examples(f2):
+    # a form's weight is the weight table's entry at its rank
     dom = detcode.make_domain(f2, 2, 2, 1, "affine")
-    assert detcode.weight_of_form(dom, [[0, 0], [0, 0]]) == 0
-    assert detcode.weight_of_form(dom, [[1, 0], [0, 0]]) == 4
-    assert detcode.weight_of_form(dom, [[1, 0], [0, 1]]) == 6
+    for F, naive in [([[0, 0], [0, 0]], 0), ([[1, 0], [0, 0]], 4), ([[1, 0], [0, 1]], 6)]:
+        assert sum(1 for s in naive_codeword(f2, np.array(F), dom.points) if s) == naive
+        assert detcode.weight_table(dom)[matq.rank(f2, F)] == naive
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -83,7 +84,7 @@ def test_weight_depends_only_on_rank_exhaustive(q):
             for entries in itertools.product(range(q), repeat=l * m):
                 F = np.array(entries).reshape(l, m)
                 naive = sum(1 for s in naive_codeword(f, F, dom.points) if s)
-                assert naive == detcode.weight_of_form(dom, F)
+                assert naive == detcode.weight_table(dom)[matq.rank(f, F)]
 
 
 def test_brute_weight_enumerator_examples(f2):
@@ -335,10 +336,31 @@ def test_support_weight_routes_agree_on_all_small_subspaces(q, l, m, t, mode):
     f = make_field(q)
     dom = detcode.make_domain(f, l, m, t, mode)
     for r in (1, 2):
-        for basis in matq.enumerate_subspaces(f, l * m, r):
+        for basis in subspaces(f, l * m, r):
             words = [naive_codeword(f, b, dom.points) for b in basis]
             union = sum(1 for column in zip(*words) if any(column))
             assert detcode.support_weight(dom, basis) == union
+
+
+def test_element_budget_bounds_every_span_walk(f2, monkeypatch):
+    # support_weight and count_rank1 walk the q^r span elements through
+    # matq._coeff_blocks, which checks q^r before any product
+    dom = detcode.make_domain(f2, 2, 3, 1, "projective")
+    basis = np.eye(6, dtype=np.int64)[:5]
+    monkeypatch.setattr(matq, "ELEMENT_BUDGET", 2**5)  # the budget itself is allowed
+    assert detcode.support_weight(dom, basis) == 20
+    assert rank1.count_rank1(f2, basis, 2, 3) == 13  # u^T v with u_2 v_3 = 0
+
+    def spy(*args):
+        raise AssertionError("a product ran before the element budget check")
+
+    monkeypatch.setattr(matq, "ELEMENT_BUDGET", 2**5 - 1)
+    for module in (detcode, rank1, matq, _kernels):
+        monkeypatch.setattr(module, "gf_matmul", spy)
+    with pytest.raises(BudgetExceeded, match="ELEMENT_BUDGET = 31"):
+        detcode.support_weight(dom, basis)
+    with pytest.raises(BudgetExceeded, match="ELEMENT_BUDGET = 31"):
+        rank1.count_rank1(f2, basis, 2, 3)
 
 
 def test_brute_ghw_flagship(f2):
@@ -387,7 +409,7 @@ def test_export_generator_format(f2):
     lines = text.strip().splitlines()
     assert lines[0] == "2 2 2 1 projective 9 4"
     assert len(lines) == 5
-    g = matq.parse_matrix("\n".join(lines[1:]))
+    g = np.array([[int(x) for x in line.split()] for line in lines[1:]])
     assert (g == detcode.generator_matrix(dom)).all()
 
 

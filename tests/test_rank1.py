@@ -11,7 +11,7 @@ from detcodes import _kernels, detcode, gf, matq, rank1
 from detcodes.counting import rank1_bound
 from detcodes.errors import BadParameters, EquationViolated, IndexOutOfRange, NotRankOne
 
-from conftest import span_ranks, span_vectors
+from conftest import span_ranks, span_vectors, subspaces
 
 
 def _rank1_matrices(field, l, m):
@@ -210,7 +210,7 @@ def test_classify_space_row_and_col(f2, f3):
 def test_classify_space_exhaustive_agrees_with_count(f2):
     # Every 2-dimensional subspace of 2x2 matrices over GF(2): the tag is
     # "not-constant-rank1" exactly when the rank-1 count is below q^r - 1.
-    for S in matq.enumerate_subspaces(f2, 4, 2):
+    for S in subspaces(f2, 4, 2):
         cls = rank1.classify_space(f2, S, 2, 2)
         n1 = rank1.count_rank1(f2, S, 2, 2)
         if n1 == 2**2 - 1:

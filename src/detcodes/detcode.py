@@ -32,7 +32,7 @@ class EvaluationDomain:
     m: int
     t: int
     mode: str
-    points: np.ndarray  # (n, l, m), canonical order
+    points: np.ndarray  # (n, l, m), canonical order, element dtype: unsigned, widen to subtract
 
     def __len__(self) -> int:
         return len(self.points)
@@ -55,7 +55,8 @@ def evaluate(dom: EvaluationDomain, F) -> np.ndarray:
 
 
 def generator_matrix(dom: EvaluationDomain) -> np.ndarray:
-    """(l*m) x n matrix whose row (i, j) evaluates X_ij on the domain."""
+    """(l*m) x n matrix whose row (i, j) evaluates X_ij on the domain, in
+    the points' element dtype."""
     return dom.points.reshape(len(dom), dom.l * dom.m).T.copy()
 
 
@@ -69,7 +70,7 @@ def _trace_nonzero(field, diag: np.ndarray) -> np.ndarray:
     out = np.zeros((B, l + 1), dtype=bool)
     for r in range(1, l + 1):
         d = diag[:, r - 1]
-        acc = (acc + d) % field.p if add is None else add[acc, d]
+        acc = _kernels.reduce_mod(acc + d, field.p) if add is None else add[acc, d]
         out[:, r] = acc != 0
     return out
 
@@ -110,9 +111,16 @@ def rank_trace_counts(field, l, m, t, mode) -> tuple[np.ndarray, np.ndarray]:
     that have rank j and tau_r != 0, for r = 0..l.  Both are counted one
     chunk at a time, so besides the table no array spans the space.
     Ranks are counted on the uint8 table itself, one comparison per rank,
-    with no widening; of each kept point's base-q value only the l
-    diagonal digits are decoded, entry (i, i) being digit i*(m+1) from
-    the most significant.
+    with no widening.
+
+    A point's partial traces depend on its diagonal alone, read as a
+    base-q number D < q^l whose digit i is entry (i, i), digit i*(m+1) of
+    the point's value from the most significant.  So each chunk decodes
+    only D, one digit at a time into one vector, and counts its points by
+    (D, rank) in one ``np.bincount``; at the end the (q^l, l+1)
+    ``_trace_nonzero`` table of every diagonal turns those counts into
+    trace counts with one product.  Since l <= m, q^l is at most the
+    square root of the walk's budget, or q itself at l = 1.
     """
     matq._check_variety(l, m, t, mode)
     q, table = field.q, matq.rank_table(field, l, m)
@@ -121,14 +129,30 @@ def rank_trace_counts(field, l, m, t, mode) -> tuple[np.ndarray, np.ndarray]:
     for lo in range(0, len(table), chunk):
         block = table[lo : lo + chunk]
         rank_counts += [np.count_nonzero(block == j) for j in range(l + 1)]
-    places = q ** (l * m - 1 - np.arange(l, dtype=np.int64) * (m + 1))
-    trace_counts = np.zeros((l + 1) ** 2, dtype=np.int64)
-    cells = np.arange(l + 1)  # cell (j, r) is j * (l + 1) + r
+    places = [q ** (l * m - 1 - i * (m + 1)) for i in range(l)]
+    cells = np.zeros(q**l * (l + 1), dtype=np.int64)  # cell (D, j) is D * (l + 1) + j
     for values, ranks in matq._domain_chunks(table, q, l, m, t, mode):
-        diag = values[:, None] // places % q
-        cell = ranks.astype(np.int64)[:, None] * (l + 1) + cells
-        trace_counts += np.bincount(cell[_trace_nonzero(field, diag)], minlength=(l + 1) ** 2)
-    return rank_counts, trace_counts.reshape(l + 1, l + 1)
+        code = np.zeros(len(values), dtype=np.int64)
+        for place in places:
+            code *= q
+            code += _kernels.reduce_mod(values // place, q)
+        code *= l + 1
+        code += ranks
+        cells += np.bincount(code, minlength=len(cells))
+    nonzero = _trace_nonzero(field, matq.coeff_vectors(field, l))  # row D: the digits of D
+    return rank_counts, cells.reshape(q**l, l + 1).T @ nonzero.astype(np.int64)
+
+
+def weight_spectrum(mode, rank_counts, trace_counts) -> SpectrumReport:
+    """Weight enumerator from ``rank_trace_counts``' two tables: the
+    rank_counts[r] forms of rank r have weight w_r, the number of domain
+    points with tau_r != 0, sum_j trace_counts[j, r].  The rows j <= t of
+    the trace counts of a larger t are those of t."""
+    wt = trace_counts.sum(axis=0)
+    counts: Counter[int] = Counter()
+    for r in range(len(rank_counts)):
+        counts[int(wt[r])] += int(rank_counts[r])
+    return _spectrum_from(mode, counts)
 
 
 def brute_weight_enumerator(field, l, m, t, mode) -> SpectrumReport:
@@ -138,12 +162,7 @@ def brute_weight_enumerator(field, l, m, t, mode) -> SpectrumReport:
     of domain points with tau_r != 0.  One walk of the matrix space counts
     both these weights and the forms of each rank; no domain is kept.
     """
-    rank_counts, trace_counts = rank_trace_counts(field, l, m, t, mode)
-    wt = trace_counts.sum(axis=0)
-    counts: Counter[int] = Counter()
-    for r in range(l + 1):
-        counts[int(wt[r])] += int(rank_counts[r])
-    return _spectrum_from(mode, counts)
+    return weight_spectrum(mode, *rank_trace_counts(field, l, m, t, mode))
 
 
 def _bit_planes(words: np.ndarray, planes: int, width: int) -> np.ndarray:
@@ -179,8 +198,10 @@ def naive_weight_enumerator(field, l, m, t, mode) -> SpectrumReport:
     A coordinate differs iff some bit of its element index differs.  The
     rows are packed into bit_length(q - 1) bit planes of 64-bit words, and
     a distance is the popcount of the planes' XORs, ORed together.  Heads
-    go in blocks of at most ``_kernels._RANK_CHUNK`` XOR words.  Nothing
-    is ranked.
+    go in blocks of at most ``_kernels._RANK_CHUNK`` XOR words, XORed into
+    one buffer that every block reuses (and ORed from a second one when
+    there are two planes or more).  The unpacked tails are dropped once
+    they are packed.  Nothing is ranked.
     """
     dom = make_domain(field, l, m, t, mode)
     q, k, n = field.q, l * m, len(dom)
@@ -196,21 +217,27 @@ def naive_weight_enumerator(field, l, m, t, mode) -> SpectrumReport:
     planes, width = (q - 1).bit_length(), -(-n // 64)
     tail_planes = _bit_planes(tails, planes, width)
     zero_head = np.bincount(np.count_nonzero(tails, axis=1), minlength=n + 1)
+    del tails
     heads = matq.coeff_vectors(field, k - h)
     lead = heads[np.arange(len(heads)), (heads != 0).argmax(axis=1)]
     heads = heads[lead == 1]
     per = max(1, _kernels._RANK_CHUNK // (q**h * width))
     counts = np.zeros(n + 1, dtype=np.int64)
+    xor = np.empty((min(per, len(heads)), q**h, width), dtype=np.uint64)
+    other = np.empty_like(xor) if planes > 1 else None
     for lo in range(0, len(heads), per):
         words = gf_matmul(field, heads[lo : lo + per], gen[: k - h])
         head_planes = _bit_planes(words, planes, width)
-        diff = head_planes[0][:, None] ^ tail_planes[0]
+        diff = xor[: len(words)]
+        np.bitwise_xor(head_planes[0][:, None], tail_planes[0], out=diff)
         for j in range(1, planes):
-            diff |= head_planes[j][:, None] ^ tail_planes[j]
+            np.bitwise_xor(head_planes[j][:, None], tail_planes[j], out=other[: len(words)])
+            diff |= other[: len(words)]
         dist = np.bitwise_count(diff).sum(axis=2, dtype=np.int64)
         counts += np.bincount(dist.ravel(), minlength=n + 1)
     counts = (q - 1) * counts + zero_head
-    return _spectrum_from(mode, dict(enumerate(counts.tolist())))
+    weights = np.flatnonzero(counts)  # a dict of every weight 0..n would outweigh the buffers
+    return _spectrum_from(mode, dict(zip(weights.tolist(), counts[weights].tolist())))
 
 
 def support_weight(dom: EvaluationDomain, basis) -> int:

@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from . import _kernels, counting
-from ._kernels import gf_matmul, rank_batch, row_reduce
+from ._kernels import gf_matmul, row_reduce
 from .errors import (
     BadParameters,
     BudgetExceeded,
@@ -31,18 +31,42 @@ ELEMENT_BUDGET = 10_000_000  # q^r coefficient vectors walked, by _coeff_blocks
 _SUBSPACE_BATCH = 4096  # subspace_batches stacks hold the largest power of q up to this
 
 
-def as_matrix(M, q: int | None = None) -> np.ndarray:
-    A = np.asarray(M, dtype=np.int64)
+def _checked(M, q: int | None) -> np.ndarray:
+    """M as a 2-d integer array, not copied if it is one already; raises
+    unless its entries are element indices in [0, q)."""
+    A = np.asarray(M)
+    if A.dtype.kind not in "iu":
+        A = np.asarray(M, dtype=np.int64)
     if A.ndim != 2:
         raise ShapeMismatch(f"expected a 2-d matrix, got shape {A.shape}")
-    if q is not None and ((A < 0) | (A >= q)).any():
+    if q is not None and A.size and (A.min() < 0 or A.max() >= q):
         raise IndexOutOfRange(f"entries must be element indices in [0, {q})")
     return A
 
 
+def as_matrix(M, q: int | None = None) -> np.ndarray:
+    return _checked(M, q).astype(np.int64, copy=False)
+
+
 def rank(field, M) -> int:
-    M = as_matrix(M, field.q)
-    return int(rank_batch(field, M[None])[0])
+    """Rank over GF(q), of M or of its transpose, whichever has no more
+    columns than rows.  Its rows are eliminated a block of at most
+    ``_kernels._RANK_CHUNK`` entries (or one row) at a time, each block
+    widened to int64 together with the echelon basis of the rows before
+    it, which spans what they span; it stops at full column rank.  So a
+    narrow tall matrix, such as a generator matrix's transpose, is never
+    copied whole."""
+    M = _checked(M, field.q)
+    if M.shape[0] < M.shape[1]:
+        M = M.T
+    per = max(1, _kernels._RANK_CHUNK // max(1, M.shape[1]))
+    basis = np.zeros((0, M.shape[1]), dtype=np.int64)
+    for lo in range(0, len(M), per):
+        w = np.concatenate([basis, M[lo : lo + per]])[None]
+        basis = w[0, : int(row_reduce(field, w)[0])]
+        if len(basis) == M.shape[1]:
+            break
+    return len(basis)
 
 
 def rref(field, A):
@@ -90,10 +114,24 @@ def partial_trace(field, M, r: int) -> int:
 
 
 def _base_q_digits(a: np.ndarray, q: int, width: int) -> np.ndarray:
-    """(len(a), width) base-q digits of a, most significant first."""
-    d = a[:, None] // q ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    d %= q  # in place: no second (len(a), width) array
-    return d
+    """(len(a), width) base-q digits of a, most significant first, in the
+    element dtype, with no ``%``.  Fewer values than digits, such as the
+    walk's run heads, are divided by every place at once: digit i is
+    a // q^(width-1-i) less q times a // q^(width-i).  More, such as a
+    domain's points, are peeled off a digit at a time, the least
+    significant first, as x - q * (x // q): a division by a scalar, and
+    no int64 array wider than a."""
+    element = np.min_scalar_type(q - 1)
+    if len(a) < width:
+        quot = a[:, None] // q ** np.arange(width, -1, -1, dtype=np.int64)
+        return (quot[:, 1:] - q * quot[:, :-1]).astype(element)
+    out = np.empty((len(a), width), dtype=element)
+    x = a
+    for i in range(width - 1, -1, -1):
+        quot = x // q
+        out[:, i] = x - quot * q
+        x = quot
+    return out
 
 
 def rank_table(field, l: int, m: int) -> np.ndarray:
@@ -164,28 +202,42 @@ def _check_variety(l: int, m: int, t: int, mode: str) -> None:
 
 def _domain_chunks(table: np.ndarray, q: int, l: int, m: int, t: int, mode: str):
     """Yield (values, ranks) of the points of the rank-<=t variety of
-    l x m matrices, in increasing base-q value, reading at most
-    ``_kernels._RANK_CHUNK`` table entries per chunk: the int64 base-q
-    values of the kept entries and their uint8 ranks.  No digit is
-    decoded here; each caller decodes the digits it reads.
+    l x m matrices, in increasing base-q value: the int64 base-q values of
+    the kept table entries and their uint8 ranks.  The table is read
+    ``_kernels._RANK_CHUNK`` entries at a time, and the kept entries of
+    as many reads as it takes to gather that many are yielded together,
+    so a sparse domain's few points per read are decoded in one batch.
+    No digit is decoded here; each caller decodes the digits it reads.
 
     Affine points are all the values of rank <= t.  A projective point is
     represented by the multiple whose first nonzero entry is 1, so its
     value has leading base-q digit 1: it lies in [q^k, 2 q^k) for some k.
     """
+    chunk = _kernels._RANK_CHUNK
     ranges = [(0, len(table))] if mode == "affine" else [(q**k, 2 * q**k) for k in range(l * m)]
+    values, ranks, kept = [], [], 0
     for lo, hi in ranges:
-        for clo in range(lo, hi, _kernels._RANK_CHUNK):
-            ranks = table[clo : min(clo + _kernels._RANK_CHUNK, hi)]
-            keep = np.flatnonzero(ranks <= t)
-            yield clo + keep, ranks[keep]
+        for clo in range(lo, hi, chunk):
+            block = table[clo : min(clo + chunk, hi)]
+            keep = np.flatnonzero(block <= t)
+            ranks.append(block[keep])
+            keep += clo  # in place: the offsets become the values
+            values.append(keep)
+            kept += len(keep)
+            if kept >= chunk:
+                yield np.concatenate(values), np.concatenate(ranks)
+                values, ranks, kept = [], [], 0
+    if kept:
+        yield np.concatenate(values), np.concatenate(ranks)
 
 
 def enumerate_matrices(field, l: int, m: int, t: int, mode: str) -> np.ndarray:
     """Points of the rank-<=t matrix variety, affine or projective.
 
     Projective representatives are scaled so the first nonzero row-major
-    entry is 1.  Order is lexicographic in row-major entry tuples.
+    entry is 1.  Order is lexicographic in row-major entry tuples.  The
+    points are in the element dtype, ``np.min_scalar_type(q - 1)``: they
+    are unsigned, so a caller widens them before it subtracts.
     """
     _check_variety(l, m, t, mode)
     table = rank_table(field, l, m)

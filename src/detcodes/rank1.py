@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, detcode, matq
-from ._kernels import gf_matmul
+from ._kernels import gf_matmul, reduce_mod
 from .counting import rank1_bound
 from .errors import EquationViolated, NotRankOne
 
@@ -88,7 +88,7 @@ def count_rank1(field, basis, l: int, m: int) -> int:
         E = gf_matmul(field, coeffs, basis)
         if field.e == 1:  # unsigned, so the two products are compared, not subtracted
             E = E.astype(np.min_scalar_type((field.p - 1) ** 2), copy=False)
-            flat = E[:, a] * E[:, b] % field.p == E[:, c] * E[:, d] % field.p
+            flat = reduce_mod(E[:, a] * E[:, b], field.p) == reduce_mod(E[:, c] * E[:, d], field.p)
         else:
             mul = field.tables.mul
             flat = mul[E[:, a], E[:, b]] == mul[E[:, c], E[:, d]]

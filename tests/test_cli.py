@@ -727,3 +727,21 @@ def test_console_entry_point():
     )
     assert out.returncode == 0
     assert "n_hat = 21" in out.stdout
+
+
+def test_verify_counts_each_mode_once(capsys, monkeypatch):
+    # The affine spectrum is read off the affine counts verify takes for
+    # its length and mu checks; only the projective one is counted apart.
+    calls = []
+    real = detcode.rank_trace_counts
+
+    def spy(field, l, m, t, mode):
+        calls.append((t, mode))
+        return real(field, l, m, t, mode)
+
+    monkeypatch.setattr(detcode, "rank_trace_counts", spy)
+    code, out, _ = run(["verify", "--q", "3", "--l", "3", "--m", "3", "--t", "2"], capsys)
+    assert code == 0
+    assert "PASS  closed vs brute spectrum (affine)" in out
+    assert "PASS  spectrum transfer A_{i(q-1)} = A_hat_i" in out
+    assert calls == [(3, "affine"), (2, "projective")]

@@ -146,6 +146,8 @@ def test_naive_enumerator_matches_the_per_form_product(code):
 def test_naive_enumerator_memory_is_one_tail_table(f3):
     # 3^9 forms over 8,451 points: the table holds 81 tails of one byte per
     # point, 8.3 KiB each (66 KiB each as int64, which peaked 6.46 MiB).
+    # Kept unpacked beside their bit planes, with a fresh XOR array per
+    # head block and a dict of every weight 0..n, they peaked 2.6 MiB.
     detcode.make_domain(f3, 3, 3, 2, "affine")  # cached: the walk is not measured
     tracemalloc.start()
     try:
@@ -154,7 +156,7 @@ def test_naive_enumerator_memory_is_one_tail_table(f3):
     finally:
         tracemalloc.stop()
     assert naive.pairs == detcode.brute_weight_enumerator(f3, 3, 3, 2, "affine").pairs
-    assert peak < 4 << 20
+    assert peak < 2 << 20
 
 
 def test_naive_enumerator_ranks_no_form(f3, monkeypatch):
@@ -284,6 +286,39 @@ def test_counting_allocates_less_than_one_int64_chunk(f2, t, mode):
     finally:
         tracemalloc.stop()
     assert peak < 8 * _kernels._RANK_CHUNK
+
+
+def test_trace_counting_builds_no_int64_table_per_point(f3):
+    # At t = l affine every one of the 3^9 matrices is a point.  Decoding
+    # the three diagonal digits of each into a (B, l) int64 table, with a
+    # (B, l + 1) one of cells beside it, peaked 1.90 MiB.
+    matq.rank_table(f3, 3, 3)
+    f3.tables, f3.inverses
+    tracemalloc.start()
+    try:
+        rank_counts, trace_counts = detcode.rank_trace_counts(f3, 3, 3, 3, "affine")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace_counts.tolist() == [
+        [formulas.delsarte_N(j, r, 3, 3, 3) for r in range(4)] for j in range(4)
+    ]
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("p,e,dtype", [(2, 1, np.uint8), (2, 2, np.uint8), (3, 2, np.uint8),
+                                       (257, 1, np.uint16)])
+def test_points_and_generator_matrix_are_in_the_element_dtype(p, e, dtype):
+    # GF(257) is the first field whose indices take two bytes
+    f = make_field(p, e)
+    l, m = (1, 2) if p == 257 else (2, 2)
+    dom = detcode.make_domain(f, l, m, 1, "affine")
+    gen = detcode.generator_matrix(dom)
+    assert dom.points.dtype == dtype and gen.dtype == dtype
+    assert int(gen.max()) == f.q - 1
+    if l == 1:  # every 1 x 2 matrix is a point, in base-q order
+        got = [tuple(int(x) for x in pt[0]) for pt in dom.points]
+        assert got == [divmod(v, f.q) for v in range(f.q**2)]
 
 
 @pytest.mark.parametrize("p,e,l,m", [(2, 1, 3, 3), (3, 1, 2, 3), (2, 2, 2, 3), (3, 2, 2, 2)])

@@ -155,3 +155,15 @@ def test_rank_batch_handles_chunking(f2, f4):
         anyent = mats.reshape(n, 4).any(axis=1)
         expect = np.where(dets != 0, 2, np.where(anyent, 1, 0))
         assert (got == expect).all()
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.uint16])
+def test_reduce_mod_is_percent_in_place(dtype):
+    rng = np.random.default_rng(3)
+    low = -1000 if dtype == np.int64 else 0
+    x = rng.integers(low, np.iinfo(dtype).max if dtype != np.int64 else 1000, size=500).astype(dtype)
+    for p in (2, 3, 7, 251):
+        want = x % p
+        y = x.copy()
+        assert _kernels.reduce_mod(y, p) is y
+        assert np.array_equal(y, want) and y.dtype == dtype

@@ -698,3 +698,50 @@ def test_matrix_text_roundtrip(f4):
     M = np.array([[0, 1, 2], [3, 2, 1]])
     text = matq.format_matrix(M)
     assert text == "0 1 2\n3 2 1"
+
+
+@pytest.mark.parametrize("p,e", ELIMINATION_FIELDS)
+def test_rank_of_tall_matrices_matches_scalar_oracle(p, e, monkeypatch):
+    # 12 entries per block: 3 rows of a 4-column matrix, so every tall
+    # case is reduced over several blocks against the basis so far.
+    monkeypatch.setattr(_kernels, "_RANK_CHUNK", 12)
+    f = make_field(p, e)
+    rng = np.random.default_rng(29)
+    for _ in range(8):
+        full = rng.integers(0, f.q, size=(17, 4))
+        thin = gf_matmul(f, rng.integers(0, f.q, size=(17, 2)), rng.integers(0, f.q, size=(2, 4)))
+        late = np.zeros((17, 4), dtype=np.int64)  # full column rank at the last row only
+        late[:-1, 1:] = rng.integers(0, f.q, size=(16, 3))
+        late[-1, 0] = rng.integers(1, f.q)
+        for M in (full, thin, late, _rank_deficient(f, rng, 11, 4)):
+            want = scalar_rank(f, M)
+            assert matq.rank(f, M) == want
+            assert matq.rank(f, M.T) == want
+            assert matq.rank(f, M.astype(np.min_scalar_type(f.q - 1))) == want
+    assert matq.rank(f, late) == 4 and scalar_rank(f, thin) <= 2
+
+
+def test_rank_of_a_narrow_tall_matrix_is_not_widened_whole(f2):
+    # The GF(2) 4x4 generator matrix has 65,535 columns of one byte: an
+    # int64 copy of it would take 8 MiB.
+    gen = detcode.generator_matrix(detcode.make_domain(f2, 4, 4, 4, "projective"))
+    tracemalloc.start()
+    try:
+        r = matq.rank(f2, gen.T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r == 16
+    assert peak < 3 << 20
+
+
+@pytest.mark.parametrize("q,width", [(2, 9), (3, 4), (257, 2)])
+def test_base_q_digits_few_and_many_values(q, width):
+    # fewer values than digits are divided at once, more a digit at a time
+    def digits(v):
+        return [v // q ** (width - 1 - i) % q for i in range(width)]
+
+    for values in (np.array([0, q**width - 1], dtype=np.int64), np.arange(q**width, dtype=np.int64)):
+        got = matq._base_q_digits(values, q, width)
+        assert got.dtype == np.min_scalar_type(q - 1)
+        assert got.tolist() == [digits(int(v)) for v in values]

@@ -6,7 +6,7 @@ keeps the echelon basis of its row blocks, ``matq.rref`` and
 ``matq.normal_form`` read the reduced matrices, and ``rank_batch``,
 which ranks a stack of small matrices, is the elimination the tests
 compare the walk against.  One product, ``gf_matmul``: the walk of the matrix space in
-``matq.rank_table`` and the subspace searches reach it through
+``matq.rank_blocks`` and the subspace searches reach it through
 ``matq._span_values`` and eliminate nothing.  Only their arithmetic
 depends on the field: prime fields reduce integer arithmetic mod p, so
 any p up to ``gf.MAX_Q`` works without tables; extension fields look
@@ -33,7 +33,8 @@ from __future__ import annotations
 
 import numpy as np
 
-_RANK_CHUNK = 1 << 16  # entries per elimination, rank_table block, domain chunk, naive XOR block
+_RANK_CHUNK = 1 << 16  # entries per elimination, walk block, table slice, naive XOR block;
+# a domain batch gathers this many bytes of int64 values
 
 
 def reduce_mod(x: np.ndarray, p: int) -> np.ndarray:

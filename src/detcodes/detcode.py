@@ -104,40 +104,51 @@ def _spectrum_from(mode, weight_counts: dict[int, int]) -> SpectrumReport:
 
 
 def rank_trace_counts(field, l, m, t, mode) -> tuple[np.ndarray, np.ndarray]:
-    """(rank_counts, trace_counts), read off one ``matq.rank_table``.
+    """(rank_counts, trace_counts), counted off one walk of the matrix
+    space, ``matq.rank_blocks``, block by block; no table is kept.
 
     ``rank_counts[j]`` is the number of l x m matrices of rank j, and
     ``trace_counts[j, r]`` the number of points of the rank-<=t domain
-    that have rank j and tau_r != 0, for r = 0..l.  Both are counted one
-    chunk at a time, so besides the table no array spans the space.
-    Ranks are counted on the uint8 table itself, one comparison per rank,
-    with no widening.
+    that have rank j and tau_r != 0, for r = 0..l.  Ranks are counted on
+    each uint8 block itself, one comparison per rank, with no widening;
+    the points are filtered out of the same blocks by
+    ``matq._domain_chunks``.  So besides the walk's (l-1)-row table, no
+    array spans the space.
 
     A point's partial traces depend on its diagonal alone, read as a
     base-q number D < q^l whose digit i is entry (i, i), digit i*(m+1) of
-    the point's value from the most significant.  So each chunk decodes
-    only D, one digit at a time into one vector, and counts its points by
-    (D, rank) in one ``np.bincount``; at the end the (q^l, l+1)
+    the point's value from the most significant.  So each batch decodes
+    only D: its values, which are its own, are shifted right in place to
+    each diagonal digit in turn, the least significant first, and the
+    digits are summed into one vector of cells.  One ``np.bincount``
+    counts its points by (D, rank); at the end the (q^l, l+1)
     ``_trace_nonzero`` table of every diagonal turns those counts into
     trace counts with one product.  Since l <= m, q^l is at most the
     square root of the walk's budget, or q itself at l = 1.
     """
     matq._check_variety(l, m, t, mode)
-    q, table = field.q, matq.rank_table(field, l, m)
-    chunk = _kernels._RANK_CHUNK
+    q = field.q
     rank_counts = np.zeros(l + 1, dtype=np.int64)
-    for lo in range(0, len(table), chunk):
-        block = table[lo : lo + chunk]
-        rank_counts += [np.count_nonzero(block == j) for j in range(l + 1)]
-    places = [q ** (l * m - 1 - i * (m + 1)) for i in range(l)]
+
+    def counted(blocks):
+        for lo, ranks in blocks:
+            rank_counts[:] += [np.count_nonzero(ranks == j) for j in range(l + 1)]
+            yield lo, ranks
+
     cells = np.zeros(q**l * (l + 1), dtype=np.int64)  # cell (D, j) is D * (l + 1) + j
-    for values, ranks in matq._domain_chunks(table, q, l, m, t, mode):
-        code = np.zeros(len(values), dtype=np.int64)
-        for place in places:
-            code *= q
-            code += _kernels.reduce_mod(values // place, q)
-        code *= l + 1
-        code += ranks
+    blocks = counted(matq.rank_blocks(field, l, m))
+    for values, ranks in matq._domain_chunks(blocks, q, l, m, t, mode):
+        code = ranks.astype(np.int64)
+        digit = np.empty_like(values)
+        values //= q ** (l * m - 1 - (l - 1) * (m + 1))  # the batch's own: shifted in place
+        for i in range(l):  # digit l-1-i of the diagonal, least significant first
+            if i:
+                values //= q ** (m + 1)
+            np.floor_divide(values, q, out=digit)
+            digit *= -q
+            digit += values
+            digit *= (l + 1) * q**i
+            code += digit
         cells += np.bincount(code, minlength=len(cells))
     nonzero = _trace_nonzero(field, matq.coeff_vectors(field, l))  # row D: the digits of D
     return rank_counts, cells.reshape(q**l, l + 1).T @ nonzero.astype(np.int64)
@@ -420,7 +431,5 @@ def subcode_spectrum(field, l, m, t, mode, r) -> dict[int, int]:
 
 def export_generator(dom: EvaluationDomain) -> str:
     """Generator matrix text: header 'q l m t mode n k', then k rows."""
-    gen = generator_matrix(dom)
-    k, n = gen.shape
-    header = f"{dom.field.q} {dom.l} {dom.m} {dom.t} {dom.mode} {n} {k}"
-    return header + "\n" + matq.format_matrix(gen) + "\n"
+    header = f"{dom.field.q} {dom.l} {dom.m} {dom.t} {dom.mode} {len(dom)} {dom.l * dom.m}"
+    return f"{header}\n{matq.format_matrix(generator_matrix(dom))}\n"

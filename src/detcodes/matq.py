@@ -24,7 +24,7 @@ from .errors import (
 )
 
 # Hard ceilings for exhaustive enumeration (desk-scale verifier).
-MATRIX_SPACE_BUDGET = 50_000_000  # q^(l*m) matrices walked, one byte each, by rank_table
+MATRIX_SPACE_BUDGET = 50_000_000  # q^(l*m) matrices walked; a rank_table holds a byte each
 DOMAIN_BUDGET = 10_000_000  # points kept in an evaluation domain
 SUBSPACE_BUDGET = 10_000_000  # subspaces visited
 ELEMENT_BUDGET = 10_000_000  # q^r coefficient vectors walked, by _coeff_blocks
@@ -52,17 +52,21 @@ def rank(field, M) -> int:
     """Rank over GF(q), of M or of its transpose, whichever has no more
     columns than rows.  Its rows are eliminated a block of at most
     ``_kernels._RANK_CHUNK`` entries (or one row) at a time, each block
-    widened to int64 together with the echelon basis of the rows before
+    widened to int64 together with the echelon basis of the blocks before
     it, which spans what they span; it stops at full column rank.  So a
     narrow tall matrix, such as a generator matrix's transpose, is never
-    copied whole."""
+    copied whole.  Block i of B holds rows i, i + B, i + 2B, ...: rank
+    does not depend on row order, and rows sorted by value, such as a
+    generator's points, reach full rank in one such block where the
+    first rows in order span only the matrices of low value."""
     M = _checked(M, field.q)
     if M.shape[0] < M.shape[1]:
         M = M.T
     per = max(1, _kernels._RANK_CHUNK // max(1, M.shape[1]))
+    blocks = -(-len(M) // per)
     basis = np.zeros((0, M.shape[1]), dtype=np.int64)
-    for lo in range(0, len(M), per):
-        w = np.concatenate([basis, M[lo : lo + per]])[None]
+    for i in range(blocks):
+        w = np.concatenate([basis, M[i::blocks]])[None]
         basis = w[0, : int(row_reduce(field, w)[0])]
         if len(basis) == M.shape[1]:
             break
@@ -134,59 +138,89 @@ def _base_q_digits(a: np.ndarray, q: int, width: int) -> np.ndarray:
     return out
 
 
+def _check_space(field, l: int, m: int) -> None:
+    """Raise unless l x m, l <= m, is a matrix space the walk may read."""
+    if not 1 <= l <= m:
+        raise BadParameters(f"need 1 <= l <= m, got l={l}, m={m}")
+    if field.q ** (l * m) > MATRIX_SPACE_BUDGET:
+        raise BudgetExceeded(f"q^(l*m) = {field.q ** (l * m)} exceeds the enumeration budget "
+                             f"MATRIX_SPACE_BUDGET = {MATRIX_SPACE_BUDGET}")
+
+
 def rank_table(field, l: int, m: int) -> np.ndarray:
     """Read-only uint8 rank of every l x m matrix, l <= m, indexed by the
     matrix's base-q value: its row-major entries read as digits, the
     first most significant.  Each call checks q^(l*m) against the budget
     before it reads ``_walk``'s cache, which holds the last table only.
     """
-    if not 1 <= l <= m:
-        raise BadParameters(f"need 1 <= l <= m, got l={l}, m={m}")
-    if field.q ** (l * m) > MATRIX_SPACE_BUDGET:
-        raise BudgetExceeded(f"q^(l*m) = {field.q ** (l * m)} exceeds the enumeration budget "
-                             f"MATRIX_SPACE_BUDGET = {MATRIX_SPACE_BUDGET}")
+    _check_space(field, l, m)
     return _walk(field, l, m)
 
 
 @lru_cache(maxsize=1)
 def _walk(field, l: int, m: int) -> np.ndarray:
-    """The one walk of the matrix space, grown a row at a time from the
-    1 x m table, where the rank is [v != 0].  A k-row matrix's value is
-    prefix * q^m + last row, so the k-row table is a (prefixes, q^m)
-    grid.  Since rank([P; v]) = rank(P) + [v not in rowspace P], a prefix
-    P's row is rank(P) + 1, read off the (k-1)-row table, except at the
-    values c @ P that P spans, where it is rank(P); a rank-deficient P
-    spans some twice and writes the same rank again.  So the ranks come
-    from linear algebra, not from any count, and nothing is eliminated.
+    """The table of ``rank_table``, filled from the blocks of ``rank_blocks``."""
+    table = np.empty(field.q ** (l * m), dtype=np.uint8)
+    for lo, ranks in rank_blocks(field, l, m):
+        table[lo : lo + len(ranks)] = ranks
+    table.setflags(write=False)
+    return table
+
+
+def rank_blocks(field, l: int, m: int):
+    """Yield (lo, ranks): the uint8 ranks of the l x m matrices, l <= m,
+    of base-q values lo, lo + 1, ..., in increasing lo, a block at a time.
+    This is the one walk of the matrix space; it checks q^(l*m) against
+    the budget before it walks, and holds no table of the whole space.
+
+    The walk grows the ranks a row at a time from the 1 x m table, where
+    the rank is [v != 0].  A k-row matrix's value is prefix * q^m + last
+    row, so the k-row table is a (prefixes, q^m) grid.  Since
+    rank([P; v]) = rank(P) + [v not in rowspace P], a prefix P's row is
+    rank(P) + 1, read off the (k-1)-row table, except at the values c @ P
+    that P spans, where it is rank(P); a rank-deficient P spans some
+    twice and writes the same rank again.  So the ranks come from linear
+    algebra, not from any count, and nothing is eliminated.  Only the
+    (l-1)-row table, q^m times smaller than the space, is held: the
+    l-row grid is yielded as it is filled.  At l = 1 the 1-row table is
+    yielded ``_kernels._RANK_CHUNK`` entries at a time.
 
     A prefix is a (k-1, m) basis whose value's last b digits are its last
     b row-major entries.  So the grid is filled in blocks of aligned runs
     of q^b prefixes, q^b the largest power of q up to the
     ``_kernels._RANK_CHUNK // q^m`` prefixes of a block (or one prefix),
     and ``_span_values`` lists each run's spans from its first prefix, its
-    head: digits are built for the heads only.
+    head: digits are built for the heads only.  A block's spans, offset
+    by q^m per prefix, are its flat indices, written in one scatter.
     """
-    q = field.q
+    _check_space(field, l, m)
+    q, chunk = field.q, _kernels._RANK_CHUNK
     rows = q**m
     table = np.ones(rows, dtype=np.uint8)
     table[0] = 0
-    per = max(1, _kernels._RANK_CHUNK // rows)  # prefixes per block, at most
+    if l == 1:
+        for lo in range(0, rows, chunk):
+            yield lo, table[lo : lo + chunk]
+    per = max(1, chunk // rows)  # prefixes per block, at most
     for k in range(2, l + 1):
-        prefix_ranks, table = table, np.empty(q ** (k * m), dtype=np.uint8)
-        grid = table.reshape(-1, rows)
+        prefix_ranks = table
+        table = np.empty(q ** (k * m), dtype=np.uint8) if k < l else None
         b = min(_max_power(q, per), (k - 1) * m)
         slots = [(i, j) for i in range(k - 1) for j in range(m)]  # row major
         layout = _block_layout(field, coeff_vectors(field, k - 1), m, slots, b)
         step = per // q**b * q**b  # whole runs per block
-        for lo in range(0, len(grid), step):
-            hi = min(lo + step, len(grid))
+        for lo in range(0, len(prefix_ranks), step):
+            hi = min(lo + step, len(prefix_ranks))
             heads = _base_q_digits(np.arange(lo, hi, q**b, dtype=np.int64), q, (k - 1) * m)
-            values = _span_values(field, heads.reshape(-1, k - 1, m), layout)
+            values = _span_values(field, heads.reshape(-1, k - 1, m), layout).reshape(hi - lo, -1)
+            values += np.arange(0, (hi - lo) * rows, rows)[:, None]
             ranks = prefix_ranks[lo:hi, None]
-            grid[lo:hi] = ranks + 1
-            np.put_along_axis(grid[lo:hi], values.reshape(hi - lo, -1), ranks, axis=1)
-    table.setflags(write=False)
-    return table
+            block = table[lo * rows : hi * rows] if k < l else np.empty((hi - lo) * rows, np.uint8)
+            block.reshape(-1, rows)[:] = ranks + 1
+            block[values] = ranks
+            del values  # freed before the block is read and the next one is built
+            if k == l:
+                yield lo * rows, block
 
 
 def _check_variety(l: int, m: int, t: int, mode: str) -> None:
@@ -200,35 +234,54 @@ def _check_variety(l: int, m: int, t: int, mode: str) -> None:
         raise EmptyVariety("the projective rank-0 locus is empty")
 
 
-def _domain_chunks(table: np.ndarray, q: int, l: int, m: int, t: int, mode: str):
+def _domain_chunks(blocks, q: int, l: int, m: int, t: int, mode: str):
     """Yield (values, ranks) of the points of the rank-<=t variety of
     l x m matrices, in increasing base-q value: the int64 base-q values of
-    the kept table entries and their uint8 ranks.  The table is read
-    ``_kernels._RANK_CHUNK`` entries at a time, and the kept entries of
-    as many reads as it takes to gather that many are yielded together,
-    so a sparse domain's few points per read are decoded in one batch.
-    No digit is decoded here; each caller decodes the digits it reads.
+    the kept entries and their uint8 ranks, read off ``blocks``, the
+    (lo, ranks) blocks of the matrix space in increasing lo: slices of
+    ``rank_table`` or the blocks of ``rank_blocks``.  The kept entries of
+    as many blocks as it takes to gather ``_kernels._RANK_CHUNK`` bytes of
+    int64 values are yielded together, so a sparse domain's few points
+    per block are decoded in one batch, and a dense domain's batches stay
+    as small as a block.  No digit is decoded here; each caller decodes
+    the digits it reads.
 
     Affine points are all the values of rank <= t.  A projective point is
     represented by the multiple whose first nonzero entry is 1, so its
-    value has leading base-q digit 1: it lies in [q^k, 2 q^k) for some k.
+    value has leading base-q digit 1: it lies in [q^k, 2 q^k) for some k,
+    and only those parts of a block are read.
     """
-    chunk = _kernels._RANK_CHUNK
-    ranges = [(0, len(table))] if mode == "affine" else [(q**k, 2 * q**k) for k in range(l * m)]
+    gather = max(1, _kernels._RANK_CHUNK // 8)  # int64 values per batch, at least
     values, ranks, kept = [], [], 0
-    for lo, hi in ranges:
-        for clo in range(lo, hi, chunk):
-            block = table[clo : min(clo + chunk, hi)]
-            keep = np.flatnonzero(block <= t)
-            ranks.append(block[keep])
-            keep += clo  # in place: the offsets become the values
+    for lo, block in blocks:
+        hi = lo + len(block)
+        if mode == "affine":
+            parts = [(lo, hi)]
+        else:
+            parts = [(max(lo, q**k), min(hi, 2 * q**k)) for k in range(l * m)]
+        for plo, phi in parts:
+            if plo >= phi:
+                continue
+            part = block[plo - lo : phi - lo]
+            keep = np.flatnonzero(part <= t)
+            ranks.append(part[keep])
+            keep += plo  # in place: the offsets become the values
             values.append(keep)
             kept += len(keep)
-            if kept >= chunk:
-                yield np.concatenate(values), np.concatenate(ranks)
-                values, ranks, kept = [], [], 0
+        if kept >= gather:
+            kept = 0
+            yield _gathered(values, ranks)
     if kept:
-        yield np.concatenate(values), np.concatenate(ranks)
+        yield _gathered(values, ranks)
+
+
+def _gathered(values: list, ranks: list):
+    """The concatenated parts, which are cleared: they are freed before
+    the batch is read."""
+    batch = np.concatenate(values), np.concatenate(ranks)
+    values.clear()
+    ranks.clear()
+    return batch
 
 
 def enumerate_matrices(field, l: int, m: int, t: int, mode: str) -> np.ndarray:
@@ -237,12 +290,14 @@ def enumerate_matrices(field, l: int, m: int, t: int, mode: str) -> np.ndarray:
     Projective representatives are scaled so the first nonzero row-major
     entry is 1.  Order is lexicographic in row-major entry tuples.  The
     points are in the element dtype, ``np.min_scalar_type(q - 1)``: they
-    are unsigned, so a caller widens them before it subtracts.
+    are unsigned, so a caller widens them before it subtracts.  They are
+    read off ``rank_table`` a ``_kernels._RANK_CHUNK`` slice at a time.
     """
     _check_variety(l, m, t, mode)
-    table = rank_table(field, l, m)
+    table, chunk = rank_table(field, l, m), _kernels._RANK_CHUNK
+    slices = ((lo, table[lo : lo + chunk]) for lo in range(0, len(table), chunk))
     parts, kept = [], 0
-    for values, _ in _domain_chunks(table, field.q, l, m, t, mode):
+    for values, _ in _domain_chunks(slices, field.q, l, m, t, mode):
         parts.append(_base_q_digits(values, field.q, l * m).reshape(-1, l, m))
         kept += len(values)
         if kept > DOMAIN_BUDGET:
@@ -371,7 +426,7 @@ def _span_values(field, heads: np.ndarray, layout) -> np.ndarray:
     ``coeff_vectors`` order, of the q^b bases of each of c aligned blocks,
     given their (c, r, N) first bases, the heads, and their
     ``_block_layout``.  This one routine serves the walk in
-    ``rank_table`` and the searches in ``span_rank_batches``.
+    ``rank_blocks`` and the searches in ``span_rank_batches``.
 
     The value of span element x is sum_k q^(N-1-k) * (x @ b_k), with b_k
     column k of the basis: its digits sit in distinct places, so the sum
@@ -455,6 +510,36 @@ def span_rank_batches(field, l: int, m: int, r: int, js):
 
 
 def format_matrix(M) -> str:
-    """l lines of m space-separated element indices."""
+    """l lines of m space-separated element indices, in decimal.
+
+    The text is written into one ASCII buffer, ``_kernels._RANK_CHUNK``
+    entries of a row at a time: an entry takes its token's length plus
+    one byte, a space or, after the row's last entry, a newline, and its
+    digits are copied from a table of the tokens of 0..max(M), a digit
+    place at a time.  So besides the buffer and the text, memory is one
+    block of entries.
+    """
     M = np.asarray(M)
-    return "\n".join(" ".join(str(int(x)) for x in row) for row in M)
+    if not M.size:
+        return "\n".join("" for _ in M)
+    tokens = np.array([str(x) for x in range(int(M.max()) + 1)], dtype=bytes)
+    digits = tokens.view(np.uint8).reshape(len(tokens), -1)  # left aligned, NUL padded
+    widths = np.char.str_len(tokens).astype(np.uint8) + 1  # a token and its separator
+    chunk, m = _kernels._RANK_CHUNK, M.shape[1]
+    parts = [(row[lo : lo + chunk], lo + chunk >= m) for row in M for lo in range(0, m, chunk)]
+    text = np.full(sum(int(widths[part].sum(dtype=np.int64)) for part, _ in parts), ord(" "),
+                   dtype=np.uint8)
+    end = 0
+    for part, row_end in parts:
+        width = widths[part]
+        starts = np.cumsum(width, dtype=np.int64)
+        starts -= width
+        starts += end
+        end = int(starts[-1]) + int(width[-1])
+        text[starts] = digits[part, 0]
+        for d in range(1, digits.shape[1]):
+            longer = np.flatnonzero(width > d + 1)
+            text[starts[longer] + d] = digits[part[longer], d]
+        if row_end:
+            text[end - 1] = ord("\n")
+    return str(text[:-1], "ascii")

@@ -58,6 +58,7 @@ def test_spectrum_closed_path_walks_no_matrix_space(capsys, monkeypatch):
     def no_walk(*args):
         raise AssertionError("the closed path walked the matrix space")
 
+    monkeypatch.setattr(matq, "rank_blocks", no_walk)
     monkeypatch.setattr(matq, "rank_table", no_walk)
     code, out, _ = run(
         ["spectrum", "--q", "5", "--l", "3", "--m", "3", "--t", "1",
@@ -70,14 +71,15 @@ def test_spectrum_closed_path_walks_no_matrix_space(capsys, monkeypatch):
 
 def test_spectrum_both_paths_rank_the_space_once(capsys, monkeypatch):
     walks = []
-    real = matq.rank_table
+    real = matq.rank_blocks
 
-    def counted(*args):
-        table = real(*args)
-        walks.append(len(table))
-        return table
+    def counted(*args):  # one entry per walk: the matrices it ranked
+        walks.append(0)
+        for lo, ranks in real(*args):
+            walks[-1] += len(ranks)
+            yield lo, ranks
 
-    monkeypatch.setattr(matq, "rank_table", counted)
+    monkeypatch.setattr(matq, "rank_blocks", counted)
     code, out, _ = run(
         ["spectrum", "--q", "3", "--l", "2", "--m", "3", "--t", "1", "--format", "json"], capsys
     )

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from detcodes import _kernels, counting, detcode, make_field
 from detcodes import matq
 from detcodes._kernels import gf_matmul
+from detcodes.gf import parse_q
 from detcodes.errors import (
     BadParameters,
     BudgetExceeded,
@@ -377,6 +378,13 @@ def test_rank_table_matches_oracles(p, e, l, m, monkeypatch):
         table = matq.rank_table(f, l, m)
         assert table.dtype == np.uint8 and table.shape == (f.q ** (l * m),)
         assert np.array_equal(table, expected)
+        # the walk's blocks, which fill the table: in order, one prefix
+        # (l >= 2) or at most a chunk (l = 1) each
+        blocks = list(matq.rank_blocks(f, l, m))
+        los = [lo for lo, _ in blocks]
+        assert los == [0] + np.cumsum([len(r) for _, r in blocks])[:-1].tolist()
+        assert all(r.dtype == np.uint8 and len(r) <= max(chunk, f.q**m) for _, r in blocks)
+        assert np.array_equal(np.concatenate([r for _, r in blocks]), expected)
 
 
 def test_rank_table_memory_is_the_table(f2):
@@ -416,8 +424,13 @@ def test_rank_table_rejects_an_empty_shape(f2, l, m):
 
 def test_rank_table_budget_is_the_walks(f2, monkeypatch):
     monkeypatch.setattr(matq, "MATRIX_SPACE_BUDGET", 255)
+    monkeypatch.setattr(matq, "_span_values", None)  # a walk would call it
     with pytest.raises(BudgetExceeded, match="MATRIX_SPACE_BUDGET = 255"):
         matq.rank_table(f2, 2, 4)
+    with pytest.raises(BudgetExceeded, match="MATRIX_SPACE_BUDGET = 255"):
+        next(matq.rank_blocks(f2, 2, 4))
+    with pytest.raises(BadParameters, match="need 1 <= l <= m"):
+        next(matq.rank_blocks(f2, 3, 2))
 
 
 def test_rank_table_walks_once_and_is_read_only(f3, monkeypatch):
@@ -733,6 +746,40 @@ def test_rank_of_a_narrow_tall_matrix_is_not_widened_whole(f2):
         tracemalloc.stop()
     assert r == 16
     assert peak < 3 << 20
+
+
+def test_rank_spreads_each_block_over_the_matrix(f2, monkeypatch):
+    # The GF(2) 4x4 t=2 generator has 7,575 points sorted by value, two
+    # blocks of 4,096 rows.  Its first 4,096 points span only the
+    # matrices of low value; every other point spans them all.
+    gen = detcode.generator_matrix(detcode.make_domain(f2, 4, 4, 2, "projective"))
+    calls = []
+    real = matq.row_reduce
+
+    def spy(field, w):
+        calls.append(w.shape[1])
+        return real(field, w)
+
+    monkeypatch.setattr(matq, "row_reduce", spy)
+    assert matq.rank(f2, gen.T) == 16
+    assert calls == [(7575 + 1) // 2]
+
+
+@pytest.mark.parametrize("q", ["2", "5", "11", "16", "101"])
+def test_format_matrix_matches_per_entry_text(q, monkeypatch):
+    # 5 has one-digit tokens, 11 and GF(16) one- and two-digit ones, 101
+    # up to three; a chunk of 7 entries splits every row of 20 entries.
+    f = parse_q(q)
+    rng = np.random.default_rng(int(f.q))
+    mats = [rng.integers(0, f.q, size=shape) for shape in [(3, 20), (1, 1), (4, 1), (1, 9)]]
+    mats += [np.full((2, 3), f.q - 1), np.zeros((2, 0), dtype=np.int64), np.zeros((0, 3))]
+    for chunk in (7, _kernels._RANK_CHUNK):
+        monkeypatch.setattr(_kernels, "_RANK_CHUNK", chunk)
+        for M in mats:
+            want = "\n".join(" ".join(str(int(x)) for x in row) for row in M)
+            assert matq.format_matrix(M) == want
+            if M.size:
+                assert matq.format_matrix(M.astype(np.min_scalar_type(f.q - 1))) == want
 
 
 @pytest.mark.parametrize("q,width", [(2, 9), (3, 4), (257, 2)])

@@ -127,6 +127,7 @@ def rank_trace_counts(field, l, m, t, mode) -> tuple[np.ndarray, np.ndarray]:
     square root of the walk's budget, or q itself at l = 1.
     """
     matq._check_variety(l, m, t, mode)
+    matq._check_space(field, l, m)  # before the cells are allocated: rank_blocks checks lazily
     q = field.q
     rank_counts = np.zeros(l + 1, dtype=np.int64)
 

@@ -269,19 +269,13 @@ def _domain_chunks(blocks, q: int, l: int, m: int, t: int, mode: str):
             values.append(keep)
             kept += len(keep)
         if kept >= gather:
-            kept = 0
-            yield _gathered(values, ranks)
+            batch = np.concatenate(values), np.concatenate(ranks)
+            values, ranks, kept = [], [], 0  # the parts are freed before the batch is read
+            yield batch
     if kept:
-        yield _gathered(values, ranks)
-
-
-def _gathered(values: list, ranks: list):
-    """The concatenated parts, which are cleared: they are freed before
-    the batch is read."""
-    batch = np.concatenate(values), np.concatenate(ranks)
-    values.clear()
-    ranks.clear()
-    return batch
+        batch = np.concatenate(values), np.concatenate(ranks)
+        values, ranks = [], []
+        yield batch
 
 
 def enumerate_matrices(field, l: int, m: int, t: int, mode: str) -> np.ndarray:
@@ -512,34 +506,11 @@ def span_rank_batches(field, l: int, m: int, r: int, js):
 def format_matrix(M) -> str:
     """l lines of m space-separated element indices, in decimal.
 
-    The text is written into one ASCII buffer, ``_kernels._RANK_CHUNK``
-    entries of a row at a time: an entry takes its token's length plus
-    one byte, a space or, after the row's last entry, a newline, and its
-    digits are copied from a table of the tokens of 0..max(M), a digit
-    place at a time.  So besides the buffer and the text, memory is one
-    block of entries.
+    Each row's text is read off a table of the tokens of 0..max(M), each
+    followed by a space: the row's tokens are copied out as NUL-padded
+    bytes, and the padding and the last space are dropped.  So no Python
+    object is made per entry; the rows' strs are joined into the text.
     """
     M = np.asarray(M)
-    if not M.size:
-        return "\n".join("" for _ in M)
-    tokens = np.array([str(x) for x in range(int(M.max()) + 1)], dtype=bytes)
-    digits = tokens.view(np.uint8).reshape(len(tokens), -1)  # left aligned, NUL padded
-    widths = np.char.str_len(tokens).astype(np.uint8) + 1  # a token and its separator
-    chunk, m = _kernels._RANK_CHUNK, M.shape[1]
-    parts = [(row[lo : lo + chunk], lo + chunk >= m) for row in M for lo in range(0, m, chunk)]
-    text = np.full(sum(int(widths[part].sum(dtype=np.int64)) for part, _ in parts), ord(" "),
-                   dtype=np.uint8)
-    end = 0
-    for part, row_end in parts:
-        width = widths[part]
-        starts = np.cumsum(width, dtype=np.int64)
-        starts -= width
-        starts += end
-        end = int(starts[-1]) + int(width[-1])
-        text[starts] = digits[part, 0]
-        for d in range(1, digits.shape[1]):
-            longer = np.flatnonzero(width > d + 1)
-            text[starts[longer] + d] = digits[part[longer], d]
-        if row_end:
-            text[end - 1] = ord("\n")
-    return str(text[:-1], "ascii")
+    tokens = np.array([f"{x} " for x in range(int(M.max(initial=0)) + 1)], dtype=bytes)
+    return "\n".join(tokens[row].tobytes().replace(b"\0", b"")[:-1].decode("ascii") for row in M)

@@ -305,6 +305,22 @@ def test_brute_enumerator_holds_no_rank_table():
     assert matq._walk.cache_info().currsize == 0
 
 
+@pytest.mark.parametrize("l, m", [(1, 2), (2, 2)])
+def test_brute_enumerator_refuses_before_it_allocates(l, m):
+    # GF(65521): the (q^l, l+1) int64 cells are 1 MiB at 1x2 and 103 GB
+    # at 2x2, while the spaces, q^2 and q^4 matrices, exceed the walk's
+    # budget; the refusal comes before the cells.
+    f = parse_q("65521")
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="MATRIX_SPACE_BUDGET = "):
+            detcode.brute_weight_enumerator(f, l, m, 1, "affine")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
+
+
 def _counts_off_the_table(f, l, m, t, mode):
     """``rank_trace_counts`` read straight off ``matq.rank_table``: the
     ranks of the whole space, and the traces of the domain's points."""

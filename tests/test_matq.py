@@ -766,20 +766,18 @@ def test_rank_spreads_each_block_over_the_matrix(f2, monkeypatch):
 
 
 @pytest.mark.parametrize("q", ["2", "5", "11", "16", "101"])
-def test_format_matrix_matches_per_entry_text(q, monkeypatch):
+def test_format_matrix_matches_per_entry_text(q):
     # 5 has one-digit tokens, 11 and GF(16) one- and two-digit ones, 101
-    # up to three; a chunk of 7 entries splits every row of 20 entries.
+    # up to three.
     f = parse_q(q)
     rng = np.random.default_rng(int(f.q))
     mats = [rng.integers(0, f.q, size=shape) for shape in [(3, 20), (1, 1), (4, 1), (1, 9)]]
     mats += [np.full((2, 3), f.q - 1), np.zeros((2, 0), dtype=np.int64), np.zeros((0, 3))]
-    for chunk in (7, _kernels._RANK_CHUNK):
-        monkeypatch.setattr(_kernels, "_RANK_CHUNK", chunk)
-        for M in mats:
-            want = "\n".join(" ".join(str(int(x)) for x in row) for row in M)
-            assert matq.format_matrix(M) == want
-            if M.size:
-                assert matq.format_matrix(M.astype(np.min_scalar_type(f.q - 1))) == want
+    for M in mats:
+        want = "\n".join(" ".join(str(int(x)) for x in row) for row in M)
+        assert matq.format_matrix(M) == want
+        if M.size:
+            assert matq.format_matrix(M.astype(np.min_scalar_type(f.q - 1))) == want
 
 
 @pytest.mark.parametrize("q,width", [(2, 9), (3, 4), (257, 2)])
